@@ -1,12 +1,12 @@
 """Membership, enumeration, counting and basis computation for class expressions.
 
 Slices (the order-n cross-sections of a class) are memoized by canonical
-rendering and order, with compute-once semantics safe for concurrent callers.
+rendering and order.  The engine is single-threaded, so the cache is a plain
+dict with no locking.
 """
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -40,6 +40,7 @@ from .perms import (
     Permutation,
     all_perms,
     complement,
+    compose,
     contains,
     decreasing,
     direct_sum_all,
@@ -85,40 +86,20 @@ class ClassSlice:
 
 
 class SliceCache:
-    """Keyed by (canonical rendering, order); concurrent readers, compute-once."""
+    """Keyed by (canonical rendering, order); each slice is computed once."""
 
     def __init__(self):
         self._data: dict[tuple[str, int], ClassSlice] = {}
-        self._pending: dict[tuple[str, int], threading.Event] = {}
-        self._lock = threading.Lock()
 
     def get_or_compute(self, key: tuple[str, int], compute) -> ClassSlice:
+        # An empty ClassSlice is falsy through __len__, so test for None.
         hit = self._data.get(key)
-        if hit is not None:
-            return hit
-        while True:
-            with self._lock:
-                hit = self._data.get(key)
-                if hit is not None:
-                    return hit
-                event = self._pending.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._pending[key] = event
-                    break
-            event.wait()
-        try:
-            value = compute()
-            self._data[key] = value
-            return value
-        finally:
-            with self._lock:
-                del self._pending[key]
-            event.set()
+        if hit is None:
+            hit = self._data[key] = compute()
+        return hit
 
     def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
+        self._data.clear()
 
 
 _GLOBAL_CACHE = SliceCache()
@@ -201,15 +182,10 @@ def member_independent(expr: ClassExpr, p: Permutation, config: Config = DEFAULT
         last = expr.children[-1]
         scratch = SliceCache()
         for q in class_slice(last, n, config, scratch):
-            if member_independent(head, _raw_compose(p, inverse(q)), config):
+            if member_independent(head, compose(p, inverse(q)), config):
                 return True
         return False
     return member(expr, p, config, cache=SliceCache())
-
-
-def _raw_compose(p: Permutation, q: Permutation) -> Permutation:
-    pv = p.values
-    return Permutation(pv[j - 1] for j in q.values)
 
 
 def _descents(p: Permutation) -> int:

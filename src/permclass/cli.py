@@ -1,9 +1,9 @@
 """Command-line surface: membership, enumeration, counting, decomposition,
 inclusion checks and the verification suite.
 
-Every subcommand is a thin adapter over the library; output is text by default
-or stable JSON with --format json (byte-identical for equal inputs, regardless
-of --jobs).  Exit codes: 0 success/holds, 1 a check failed (witness printed),
+Every subcommand is a thin adapter over the library and runs single-threaded;
+output is text by default or stable JSON with --format json (byte-identical for
+equal inputs).  Exit codes: 0 success/holds, 1 a check failed (witness printed),
 2 usage or parse error, 3 a resource cap was hit.
 """
 from __future__ import annotations
@@ -60,27 +60,25 @@ def _emit(payload: dict, args) -> None:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _global_cap(args) -> Optional[int]:
+def _env_cap() -> Optional[int]:
     env = os.environ.get("PERMCLASS_MAX_N")
-    caps = []
-    if env is not None:
-        try:
-            caps.append(int(env))
-        except ValueError:
-            raise _UsageError(f"PERMCLASS_MAX_N must be an integer, got {env!r}")
-    if getattr(args, "max_n", None) is not None:
-        caps.append(args.max_n)
+    if env is None:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise _UsageError(f"PERMCLASS_MAX_N must be an integer, got {env!r}") from None
+
+
+def _global_cap(args) -> Optional[int]:
+    caps = [c for c in (_env_cap(), getattr(args, "max_n", None)) if c is not None]
     return min(caps) if caps else None
 
 
 def _config(args) -> Config:
-    env = os.environ.get("PERMCLASS_MAX_N")
-    if env is None:
+    cap = _env_cap()
+    if cap is None:
         return DEFAULT_CONFIG
-    try:
-        cap = int(env)
-    except ValueError:
-        raise _UsageError(f"PERMCLASS_MAX_N must be an integer, got {env!r}")
     return Config(
         enum_cap=min(DEFAULT_CONFIG.enum_cap, cap),
         compose_merge_cap=min(DEFAULT_CONFIG.compose_merge_cap, cap),
@@ -178,9 +176,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_include(args) -> int:
     lhs = _parse_expr(args.lhs)
     rhs = _parse_expr(args.rhs)
-    report = harness.check_inclusion(
-        lhs, rhs, range(1, args.max_n + 1), _config(args), jobs=args.jobs
-    )
+    report = harness.check_inclusion(lhs, rhs, range(1, args.max_n + 1), _config(args))
     if args.format == "json":
         _emit(report.to_json(), args)
     else:
@@ -203,7 +199,7 @@ def _cmd_suite(args) -> int:
     names = list(harness.REGISTRY) if args.names == "all" else args.names.split(",")
     names = [n.strip() for n in names if n.strip()]
     try:
-        results = harness.run_suite(names, n_cap=_global_cap(args), jobs=args.jobs, config=_config(args))
+        results = harness.run_suite(names, n_cap=_global_cap(args), config=_config(args))
     except harness.UnknownCheckError as exc:
         raise _UsageError(str(exc)) from None
     if args.format == "json":
@@ -266,13 +262,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inc.add_argument("--lhs", required=True)
     p_inc.add_argument("--rhs", required=True)
     p_inc.add_argument("--max-n", type=int, required=True)
-    p_inc.add_argument("--jobs", type=int, default=1)
     p_inc.set_defaults(run=_cmd_include)
 
     p_suite = sub.add_parser("suite", help="run named verification checks")
     p_suite.add_argument("--names", default="all")
     p_suite.add_argument("--max-n", type=int, default=None)
-    p_suite.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_suite.set_defaults(run=_cmd_suite)
 
     return parser

@@ -264,11 +264,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest nesting of class expressions the parser accepts.  It keeps parsing,
+# rendering and membership well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def error(self, message: str) -> ClassSyntaxError:
         pos = self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.text)
@@ -295,6 +301,8 @@ class _Parser:
         tok = self.peek()
         if tok is None or tok[0] != "name":
             raise self.error("expected a class expression")
+        if self.depth == MAX_NESTING:
+            raise self.error(f"expression nested deeper than {MAX_NESTING} levels")
         name = tok[1]
         self.i += 1
         atoms = {"I": Inc, "D": Dec, "L": LayeredAll, "F2": FibLayered, "All": AllPerms}
@@ -304,7 +312,9 @@ class _Parser:
         if nxt is None or nxt[1] != "(":
             raise self.error(f"unknown atom {name!r}" if name not in _FUNC_NAMES else "expected '('")
         self.take("sym", "(")
+        self.depth += 1
         out = self.func_body(name, tok[2])
+        self.depth -= 1
         self.take("sym", ")")
         return out
 

@@ -27,6 +27,7 @@ from .exprs import (
 from .perms import (
     EMPTY,
     Permutation,
+    compose,
     compose_all,
     decreasing,
     direct_sum,
@@ -100,7 +101,7 @@ def decompose_vk_hk(p: Permutation, k: int, config: Config = DEFAULT_CONFIG) -> 
     for chain in chains:
         nu_vals.extend(chain)
     nu = Permutation(nu_vals) if nu_vals else EMPTY
-    eta = _raw_compose(inverse(nu), p)
+    eta = compose(inverse(nu), p)
     out = Factorization(p, (Factor(nu, VertK(k)), Factor(eta, HorizK(k))))
     out.verify(config)
     return out
@@ -134,7 +135,7 @@ def decompose_ik_il(p: Permutation, k: int, l: int, config: Config = DEFAULT_CON
         sigma_vals.append(v)
     sigma_vals.extend(c_vals[ci:])
     sigma = Permutation(sigma_vals) if sigma_vals else EMPTY
-    tau = _raw_compose(inverse(sigma), p)
+    tau = compose(inverse(sigma), p)
     out = Factorization(p, (Factor(sigma, IncK(k)), Factor(tau, IncK(l))))
     out.verify(config)
     return out
@@ -197,7 +198,7 @@ def decompose_thm52(
     a_vals, c_vals = structure.jv_split(p, alpha, beta, gamma)
     nu_vals = list(a_vals) + list(c_vals)
     nu = Permutation(nu_vals) if nu_vals else EMPTY
-    eta = _raw_compose(inverse(nu), p)
+    eta = compose(inverse(nu), p)
     ab = direct_sum(alpha, beta)
     bg = direct_sum(beta, gamma)
     vert = Vert((Av((ab,)), Av((bg,))))
@@ -230,14 +231,9 @@ def _rewrite_symmetry(f, perm_op, expr_op, append_delta: bool, config: Config) -
         if i:
             factors.append(Factor(delta, Dec()))
         if append_delta:
-            factors.append(Factor(_raw_compose(fac.perm, delta), expr_op(fac.cls)))
+            factors.append(Factor(compose(fac.perm, delta), expr_op(fac.cls)))
         else:
-            factors.append(Factor(_raw_compose(delta, fac.perm), expr_op(fac.cls)))
+            factors.append(Factor(compose(delta, fac.perm), expr_op(fac.cls)))
     out = Factorization(perm_op(f.target), tuple(factors))
     out.verify(config)
     return out
-
-
-def _raw_compose(p: Permutation, q: Permutation) -> Permutation:
-    pv = p.values
-    return Permutation(pv[j - 1] for j in q.values)

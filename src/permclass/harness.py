@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -146,19 +145,11 @@ class MSearchReport:
         }
 
 
-def _partition(items: list, jobs: int) -> list[list]:
-    if jobs <= 1 or len(items) < 2 * jobs:
-        return [items]
-    size = (len(items) + jobs - 1) // jobs
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
 def check_inclusion(
     lhs: ClassExpr,
     rhs: ClassExpr,
     n_range: Iterable[int],
     config: Config = DEFAULT_CONFIG,
-    jobs: int = 1,
 ) -> InclusionReport:
     """For each order, test every LHS member for RHS membership; the earliest
     (lexicographic) witness is reported on failure and re-verified cache-free."""
@@ -167,22 +158,8 @@ def check_inclusion(
         start = time.perf_counter()
         try:
             members = sorted(class_slice(lhs, n, config).members)
-            chunks = _partition(members, jobs)
-
-            def scan(chunk: list[Permutation]) -> Optional[Permutation]:
-                for p in chunk:
-                    if not member(rhs, p, config):
-                        return p
-                return None
-
-            if len(chunks) == 1:
-                found = [scan(chunks[0])]
-            else:
-                with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                    found = list(pool.map(scan, chunks))
-            witnesses = [w for w in found if w is not None]
-            if witnesses:
-                w = min(witnesses)
+            w = next((p for p in members if not member(rhs, p, config)), None)
+            if w is not None:
                 if member_independent(rhs, w, config):
                     raise RuntimeError(
                         f"witness {to_text(w)} did not re-verify; cache inconsistency"
@@ -261,13 +238,13 @@ def check_group_closure(
     return report
 
 
-def search_m(k: int, l: int, n_max: int, config: Config = DEFAULT_CONFIG, jobs: int = 1) -> MSearchReport:
+def search_m(k: int, l: int, n_max: int, config: Config = DEFAULT_CONFIG) -> MSearchReport:
     """Finite evidence for the inclusion of m-chain classes in the composition of
     the k- and l-chain classes, for m between k+l-1 and k*l."""
     report = MSearchReport(k, l)
     rhs = Comp((IncK(k), IncK(l)))
     for m in range(k + l - 1, k * l + 1):
-        report.per_m[m] = check_inclusion(IncK(m), rhs, range(1, n_max + 1), config, jobs)
+        report.per_m[m] = check_inclusion(IncK(m), rhs, range(1, n_max + 1), config)
     return report
 
 
@@ -278,11 +255,7 @@ def _all_interleavings(segments: list[tuple[int, ...]]) -> Iterable[tuple[int, .
     labels = []
     for idx, size in enumerate(sizes):
         labels.extend([idx] * size)
-    seen = set()
     for order in set(itertools.permutations(labels)):
-        if order in seen:
-            continue
-        seen.add(order)
         pointers = [0] * len(segments)
         out = []
         for lab in order:
@@ -807,16 +780,11 @@ REGISTRY: dict[str, Callable[[Config, Optional[int]], SuiteResult]] = {
 def run_suite(
     names: Sequence[str],
     n_cap: Optional[int] = None,
-    jobs: int = 1,
     config: Config = DEFAULT_CONFIG,
 ) -> list[SuiteResult]:
-    """Run named registry checks; results come back in the requested order and
-    are identical regardless of the degree of parallelism."""
+    """Run named registry checks one after another; results come back in the
+    requested order."""
     unknown = [name for name in names if name not in REGISTRY]
     if unknown:
         raise UnknownCheckError(f"unknown check name(s): {', '.join(unknown)}")
-    if jobs <= 1 or len(names) == 1:
-        return [REGISTRY[name](config, n_cap) for name in names]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {name: pool.submit(REGISTRY[name], config, n_cap) for name in names}
-        return [futures[name].result() for name in names]
+    return [REGISTRY[name](config, n_cap) for name in names]

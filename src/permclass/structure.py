@@ -320,18 +320,15 @@ def alternating_superpattern(p: Permutation) -> Permutation:
         raise ValueError(f"{p} is not an interleaving of two stacked increasing runs")
     if _is_alternating(p):
         return p
+    # p is determined by its word over {low, high}: its low values rise, its
+    # high values rise, and every low value is below every high one.  The
+    # candidate reads low, high, low, high, ... with the same properties, so
+    # sending the i-th letter of p's word to the i-th (low, high) pair of the
+    # candidate embeds p.
     candidate = _alternating(2 * n + 1)
-    if contains(candidate, p) is not None:
-        return candidate
-    # Constructive embedding failed; fall back to exhaustive search.
-    from .algebra import class_slice
-    from .exprs import HorizK
-
-    for m in range(n, 2 * n + 2):
-        for q in class_slice(HorizK(2), m):
-            if _is_alternating(q) and contains(q, p) is not None:
-                return q
-    raise SplitContractError(f"no alternating superpattern of length <= {2 * n + 1} for {p}")
+    if contains(candidate, p) is None:
+        raise SplitContractError(f"{candidate} does not contain {p}")
+    return candidate
 
 
 def _alternating(m: int) -> Permutation:

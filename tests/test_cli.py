@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from permclass.algebra import basis_up_to, class_slice, count, member
+from permclass.algebra import basis_up_to, class_slice, count, member, slice_cache
 from permclass.cli import cli_dispatch
 from permclass.exprs import parse_class
 from permclass.factor import decompose_vk_hk
@@ -40,6 +40,15 @@ def test_parse_error_exit_2(capsys):
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "member", "--class", "I")[0] == 2
     assert run(capsys, "bogus-subcommand")[0] == 2
+    assert run(capsys, "suite", "--names", "count-L2", "--jobs", "2")[0] == 2
+    assert run(capsys, "include", "--lhs", "I", "--rhs", "I", "--max-n", "2", "--jobs", "2")[0] == 2
+
+
+def test_deep_nesting_exit_2(capsys):
+    deep = "rev(" * 3000 + "I" + ")" * 3000
+    code, out, err = run(capsys, "member", "--class", deep, "--perm", "21")
+    assert code == 2 and out == ""
+    assert "nested deeper" in err and "Traceback" not in err
 
 
 def test_enumerate_matches_library(capsys):
@@ -113,11 +122,13 @@ def test_suite_subcommand(capsys):
 
 def test_json_output_stable(capsys):
     argv = ["--format", "json", "suite", "--names", "count-L2", "--max-n", "6"]
-    first = run(capsys, *argv)
-    second = run(capsys, *argv, "--jobs", "4")
-    assert first[0] == 0 == second[0]
-    assert first[1] == second[1]
-    payload = json.loads(first[1])
+    run(capsys, *argv)
+    warm = run(capsys, *argv)
+    slice_cache().clear()
+    cold = run(capsys, *argv)
+    assert warm[0] == 0 == cold[0]
+    assert warm[1] == cold[1]
+    payload = json.loads(warm[1])
     assert payload["results"][0]["name"] == "count-L2"
     assert "elapsed" not in payload["results"][0]
 
@@ -138,3 +149,5 @@ def test_env_cap_applies_to_enumeration(capsys, monkeypatch):
     assert code == 3
     monkeypatch.setenv("PERMCLASS_MAX_N", "not-a-number")
     assert run(capsys, "enumerate", "--class", "All", "-n", "2")[0] == 2
+    code, _, err = run(capsys, "suite", "--names", "count-L2")
+    assert code == 2 and "PERMCLASS_MAX_N" in err

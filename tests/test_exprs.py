@@ -1,6 +1,7 @@
 import pytest
 
 from permclass.exprs import (
+    MAX_NESTING,
     Av,
     ClassSyntaxError,
     Comp,
@@ -115,6 +116,18 @@ def test_syntax_error_carries_position():
     with pytest.raises(ClassSyntaxError) as err:
         parse_class("comp(I,?)")
     assert err.value.pos == 7
+
+
+def test_nesting_limit():
+    def nested(depth):
+        return "rev(" * (depth - 1) + "I" + ")" * (depth - 1)
+
+    assert render(parse_class(nested(MAX_NESTING))) == nested(MAX_NESTING)
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ClassSyntaxError, match="nested deeper"):
+            parse_class(nested(depth))
+    with pytest.raises(ClassSyntaxError):
+        parse_class("comp(I," * MAX_NESTING + "I" + ")" * MAX_NESTING)
 
 
 def test_node_validation():

@@ -1,6 +1,7 @@
 import pytest
 
-from permclass.exprs import Dec, Inc, parse_class
+from permclass.algebra import class_slice
+from permclass.exprs import Dec, HorizK, Inc, parse_class
 from permclass.perms import (
     EMPTY,
     all_perms,
@@ -174,12 +175,12 @@ def test_jv_split_certificate_everywhere():
 def test_alternating_superpattern():
     assert alternating_superpattern(from_text("1")) == from_text("1")
     assert _is_alternating(from_text("14253"))
-    for text in ("12", "231", "1324", "1234", "3142"):
-        p = from_text(text)
-        sup = alternating_superpattern(p)
-        assert _is_alternating(sup)
-        assert len(sup) <= 2 * len(p) + 1
-        assert contains(sup, p) is not None
+    for n in range(1, 8):
+        for p in class_slice(HorizK(2), n):
+            sup = alternating_superpattern(p)
+            assert _is_alternating(sup)
+            assert len(sup) <= 2 * n + 1
+            assert contains(sup, p) is not None
     with pytest.raises(ValueError):
         alternating_superpattern(from_text("321"))
 
