@@ -7,7 +7,7 @@ dict with no locking.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -142,16 +142,10 @@ def member(
     if isinstance(expr, Horiz):
         return structure.horizontal_split(p, expr.children) is not None
     if isinstance(expr, Merge):
-        if n > config.compose_merge_cap:
-            raise ResourceLimitError(
-                f"merge membership at order {n} exceeds cap {config.compose_merge_cap}"
-            )
+        _check_search_cap("merge", n, config)
         return structure.merge_split(p, expr.children) is not None
     if isinstance(expr, Comp):
-        if n > config.compose_merge_cap:
-            raise ResourceLimitError(
-                f"compose membership at order {n} exceeds cap {config.compose_merge_cap}"
-            )
+        _check_search_cap("compose", n, config)
         return p in class_slice(expr, n, config, cache)
     if isinstance(expr, And):
         return all(member(c, p, config, cache) for c in expr.children)
@@ -166,6 +160,13 @@ def member(
     raise TypeError(f"unknown expression node: {expr!r}")
 
 
+def _check_search_cap(kind: str, n: int, config: Config) -> None:
+    if n > config.compose_merge_cap:
+        raise ResourceLimitError(
+            f"{kind} membership at order {n} exceeds cap {config.compose_merge_cap}"
+        )
+
+
 def member_independent(expr: ClassExpr, p: Permutation, config: Config = DEFAULT_CONFIG) -> bool:
     """Cache-bypassing membership used to re-verify witnesses.
 
@@ -174,10 +175,7 @@ def member_independent(expr: ClassExpr, p: Permutation, config: Config = DEFAULT
     """
     if isinstance(expr, Comp):
         n = len(p)
-        if n > config.compose_merge_cap:
-            raise ResourceLimitError(
-                f"compose membership at order {n} exceeds cap {config.compose_merge_cap}"
-            )
+        _check_search_cap("compose", n, config)
         head = expr.children[0] if len(expr.children) == 2 else Comp(expr.children[:-1])
         last = expr.children[-1]
         scratch = SliceCache()

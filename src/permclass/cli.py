@@ -44,11 +44,24 @@ def _parse_perm(text: str) -> Permutation:
         raise _UsageError(f"bad permutation {text!r}: {exc}") from None
 
 
+# Longest expression text a parse error echoes whole; longer text is shown as a
+# window of this many characters around the error position.
+_ECHO_LIMIT = 80
+
+
+def _excerpt(text: str, pos: int) -> str:
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    start = min(max(0, pos - _ECHO_LIMIT // 2), len(text) - _ECHO_LIMIT)
+    end = start + _ECHO_LIMIT
+    return ("..." if start else "") + repr(text[start:end]) + ("..." if end < len(text) else "")
+
+
 def _parse_expr(text: str):
     try:
         return parse_class(text)
     except ClassSyntaxError as exc:
-        raise _UsageError(f"bad class expression {text!r}: {exc}") from None
+        raise _UsageError(f"bad class expression {_excerpt(text, exc.pos)}: {exc}") from None
 
 
 def _perm_json(p: Permutation) -> list[int]:

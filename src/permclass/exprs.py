@@ -200,6 +200,13 @@ _PARAM_TEXT = {IncK: "Ik", DecK: "Dk", LayeredK: "Lk", VertK: "Vk", HorizK: "Hk"
 _NARY_TEXT = {Comp: "comp", Merge: "merge", Vert: "V", Horiz: "H", And: "and", Or: "or"}
 _UNARY_TEXT = {Rev: "rev", Cpl: "cpl", Inv: "inv"}
 
+# The parser's view of the same spellings: name -> node type.
+_ATOMS = {text: t for t, text in _ATOM_TEXT.items()}
+_PARAMS = {text: t for t, text in _PARAM_TEXT.items()}
+_NARIES = {text: t for t, text in _NARY_TEXT.items()}
+_UNARIES = {text: t for t, text in _UNARY_TEXT.items()}
+_FUNC_NAMES = {*_PARAMS, "Av", *_NARIES, *_UNARIES}
+
 
 def _perm_literal(p: Permutation) -> str:
     if 0 < len(p) <= 9:
@@ -305,9 +312,8 @@ class _Parser:
             raise self.error(f"expression nested deeper than {MAX_NESTING} levels")
         name = tok[1]
         self.i += 1
-        atoms = {"I": Inc, "D": Dec, "L": LayeredAll, "F2": FibLayered, "All": AllPerms}
-        if name in atoms:
-            return atoms[name]()
+        if name in _ATOMS:
+            return _ATOMS[name]()
         nxt = self.peek()
         if nxt is None or nxt[1] != "(":
             raise self.error(f"unknown atom {name!r}" if name not in _FUNC_NAMES else "expected '('")
@@ -319,11 +325,10 @@ class _Parser:
         return out
 
     def func_body(self, name: str, name_pos: int) -> ClassExpr:
-        param = {"Ik": IncK, "Dk": DecK, "Lk": LayeredK, "Vk": VertK, "Hk": HorizK}
-        if name in param:
+        if name in _PARAMS:
             tok = self.take("int")
             try:
-                return param[name](int(tok[1]))
+                return _PARAMS[name](int(tok[1]))
             except ValueError as exc:
                 raise ClassSyntaxError(str(exc), tok[2]) from None
         if name == "Av":
@@ -335,22 +340,20 @@ class _Parser:
                 return Av(tuple(pats))
             except ValueError as exc:
                 raise ClassSyntaxError(str(exc), name_pos) from None
-        nary = {"comp": Comp, "merge": Merge, "and": And, "or": Or, "V": Vert, "H": Horiz}
-        if name in nary:
+        if name in _NARIES:
             children = [self.expr()]
             while self.peek() and self.peek()[1] == ",":
                 self.i += 1
                 children.append(self.expr())
             try:
-                return nary[name](tuple(children))
+                return _NARIES[name](tuple(children))
             except ValueError as exc:
                 raise ClassSyntaxError(str(exc), name_pos) from None
-        unary = {"rev": Rev, "cpl": Cpl, "inv": Inv}
-        if name in unary:
+        if name in _UNARIES:
             child = self.expr()
             if self.peek() and self.peek()[1] == ",":
                 raise self.error(f"{name} takes exactly one argument")
-            return unary[name](child)
+            return _UNARIES[name](child)
         raise ClassSyntaxError(f"unknown function {name!r}", name_pos)
 
     def perm_literal(self) -> Permutation:
@@ -375,12 +378,6 @@ class _Parser:
             except ValueError:
                 raise ClassSyntaxError(f"bad permutation literal {vals!r}", close[2]) from None
         raise self.error("expected a permutation literal")
-
-
-_FUNC_NAMES = {
-    "Ik", "Dk", "Lk", "Vk", "Hk", "Av", "V", "H",
-    "comp", "merge", "and", "or", "rev", "cpl", "inv",
-}
 
 
 def parse_class(text: str) -> ClassExpr:

@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .exprs import ClassExpr, Horiz, Inc
+from .exprs import ClassExpr, Inc
 from .perms import (
     EMPTY,
     Permutation,

@@ -49,6 +49,7 @@ def test_deep_nesting_exit_2(capsys):
     code, out, err = run(capsys, "member", "--class", deep, "--perm", "21")
     assert code == 2 and out == ""
     assert "nested deeper" in err and "Traceback" not in err
+    assert len(err.encode()) < 500
 
 
 def test_enumerate_matches_library(capsys):

@@ -126,6 +126,14 @@ def test_run_suite_known_and_unknown():
     assert all(r.status == "pass" for r in results)
 
 
+def test_run_suite_status_skip_when_an_order_hits_a_cap():
+    tight = Config(enum_cap=3, compose_merge_cap=3)
+    (result,) = run_suite(["lemma-kl"], config=tight)
+    assert result.status == "skip"
+    assert result.counterexamples == []
+    assert result.parameters == {"k,l": "2,3 pairs", "max_n": 6}
+
+
 def test_suite_result_json_excludes_timing():
     (result,) = run_suite(["count-L2"], n_cap=4)
     payload = result.to_json()
