@@ -1,13 +1,13 @@
 """Membership, enumeration, counting and basis computation for class expressions.
 
-Slices (the order-n cross-sections of a class) are memoized by canonical
-rendering and order.  The engine is single-threaded, so the cache is a plain
-dict with no locking.
+`member` defines each node type.  `comp`, `and`/`or` and `rev`/`cpl`/`inv` derive
+their order-n slices from their children's; every other node grows its slice
+from order n-1 (exact, as every node denotes a downward-closed class).  Slices
+are memoized by canonical rendering and order in a plain, unlocked dict.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -37,17 +37,16 @@ from .exprs import (
     canonical_render,
 )
 from .perms import (
+    EMPTY,
     Permutation,
     all_perms,
     complement,
     compose,
     contains,
-    decreasing,
-    direct_sum_all,
-    identity,
     inverse,
     lds,
     lis,
+    pattern_of,
     reverse,
 )
 
@@ -60,7 +59,7 @@ class ResourceLimitError(RuntimeError):
 class Config:
     """Order caps for the expensive search paths; override per call as needed."""
 
-    enum_cap: int = 11  # generator- and filter-backed enumeration
+    enum_cap: int = 11  # slice enumeration
     compose_merge_cap: int = 9  # Compose / Merge membership searches
 
 
@@ -138,12 +137,12 @@ def member(
     if isinstance(expr, Av):
         return all(contains(p, pat) is None for pat in expr.patterns)
     if isinstance(expr, Vert):
-        return structure.vertical_split(p, expr.children) is not None
+        return structure.vertical_split(p, expr.children, config, cache) is not None
     if isinstance(expr, Horiz):
-        return structure.horizontal_split(p, expr.children) is not None
+        return structure.horizontal_split(p, expr.children, config, cache) is not None
     if isinstance(expr, Merge):
         _check_search_cap("merge", n, config)
-        return structure.merge_split(p, expr.children) is not None
+        return structure.merge_split(p, expr.children, config, cache) is not None
     if isinstance(expr, Comp):
         _check_search_cap("compose", n, config)
         return p in class_slice(expr, n, config, cache)
@@ -210,18 +209,6 @@ def class_slice(
 
 
 def _enumerate(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> set[Permutation]:
-    if isinstance(expr, AllPerms):
-        return set(all_perms(n))
-    if isinstance(expr, Inc):
-        return {identity(n)}
-    if isinstance(expr, Dec):
-        return {decreasing(n)}
-    if isinstance(expr, (LayeredAll, LayeredK, FibLayered)):
-        return set(_layered_members(expr, n))
-    if isinstance(expr, VertK):
-        return set(_vertical_members(n, expr.k))
-    if isinstance(expr, HorizK):
-        return set(_horizontal_members(n, expr.k))
     if isinstance(expr, Comp):
         return _compose_slice(expr, n, config, cache)
     if isinstance(expr, And):
@@ -236,61 +223,32 @@ def _enumerate(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> se
         return {complement(p) for p in class_slice(expr.child, n, config, cache).members}
     if isinstance(expr, Inv):
         return {inverse(p) for p in class_slice(expr.child, n, config, cache).members}
-    # Fall back to filtering the symmetric group (Ik, Dk, Av, Merge, V, H).
-    filter_config = config
-    if isinstance(expr, (Merge, Vert, Horiz)) and config.compose_merge_cap < n:
-        filter_config = Config(enum_cap=config.enum_cap, compose_merge_cap=n)
-    return {p for p in all_perms(n) if member(expr, p, filter_config, cache)}
+    return _grow(expr, n, config, cache)
 
 
-def _layered_members(expr: ClassExpr, n: int) -> Iterator[Permutation]:
-    if isinstance(expr, LayeredK):
-        max_parts, max_len = expr.k, n
-    elif isinstance(expr, FibLayered):
-        max_parts, max_len = n, 2
-    else:
-        max_parts, max_len = n, n
-    for comp in _positive_compositions(n, max_parts, max_len):
-        yield direct_sum_all(decreasing(l) for l in comp)
+def _grow(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> set[Permutation]:
+    """The one-point extensions of the order-(n-1) slice that `member` accepts.
 
-
-def _positive_compositions(total: int, max_parts: int, max_len: int):
-    if total == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    for first in range(1, min(total, max_len) + 1):
-        for rest in _positive_compositions(total - first, max_parts - 1, max_len):
-            yield (first,) + rest
-
-
-def _vertical_members(n: int, k: int) -> Iterator[Permutation]:
-    # Label each value with the segment it lands in; segments read sorted.
-    for labels in itertools.product(range(k), repeat=n):
-        vals: list[int] = []
-        for part in range(k):
-            vals.extend(v for v in range(1, n + 1) if labels[v - 1] == part)
-        yield Permutation(vals)
-
-
-def _horizontal_members(n: int, k: int) -> Iterator[Permutation]:
-    # Label each position with its value range; ranges stack bottom-up.
-    for labels in itertools.product(range(k), repeat=n):
-        counts = [0] * k
-        for lab in labels:
-            counts[lab] += 1
-        offsets = [0] * k
-        running = 0
-        for part in range(k):
-            offsets[part] = running
-            running += counts[part]
-        seen = [0] * k
-        vals = []
-        for lab in labels:
-            seen[lab] += 1
-            vals.append(offsets[lab] + seen[lab])
-        yield Permutation(vals)
+    Each member of order n-1 gets a new last entry in each of the n ways.  The
+    class is downward closed, so a candidate whose largest entry, once deleted,
+    leaves a non-member of order n-1 is skipped without a membership call.
+    """
+    # Merge, V and H searches here are bounded by enum_cap, like the slice itself.
+    config = replace(config, compose_merge_cap=max(config.compose_merge_cap, n))
+    if n == 0:
+        return {EMPTY} if member(expr, EMPTY, config, cache) else set()
+    prev = {p.values for p in class_slice(expr, n - 1, config, cache).members}
+    out: set[Permutation] = set()
+    for vals in prev:
+        top = vals.index(n - 1) if vals else 0
+        for j in range(1, n + 1):
+            cand = tuple([v + 1 if v >= j else v for v in vals]) + (j,)
+            if j < n and cand[:top] + cand[top + 1 :] not in prev:
+                continue
+            p = Permutation(cand)
+            if member(expr, p, config, cache):
+                out.add(p)
+    return out
 
 
 def _compose_slice(expr: Comp, n: int, config: Config, cache: SliceCache) -> set[Permutation]:
@@ -325,8 +283,6 @@ def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) 
     A permutation is minimal exactly when every one-element deletion is a
     member, since non-membership is upward closed for a class.
     """
-    from .perms import pattern_of
-
     basis: set[Permutation] = set()
     for n in range(1, max_len + 1):
         for p in all_perms(n):
@@ -344,3 +300,4 @@ def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) 
 def slice_cache() -> SliceCache:
     """The process-wide slice cache (exposed for cache-bypassing checks)."""
     return _GLOBAL_CACHE
+

@@ -37,6 +37,14 @@ class _UsageError(Exception):
     pass
 
 
+def _order(text: str) -> int:
+    """argparse type of the order and length options: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_perm(text: str) -> Permutation:
     try:
         return from_text(text)
@@ -244,17 +252,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="list all members at one order")
     p_enum.add_argument("--class", dest="cls", required=True)
-    p_enum.add_argument("-n", type=int, required=True)
+    p_enum.add_argument("-n", type=_order, required=True)
     p_enum.set_defaults(run=_cmd_enumerate)
 
     p_count = sub.add_parser("count", help="member counts for orders 1..N")
     p_count.add_argument("--class", dest="cls", required=True)
-    p_count.add_argument("--max-n", type=int, required=True)
+    p_count.add_argument("--max-n", type=_order, required=True)
     p_count.set_defaults(run=_cmd_count)
 
     p_basis = sub.add_parser("basis", help="minimal avoided permutations up to a length")
     p_basis.add_argument("--class", dest="cls", required=True)
-    p_basis.add_argument("--max-len", type=int, required=True)
+    p_basis.add_argument("--max-len", type=_order, required=True)
     p_basis.set_defaults(run=_cmd_basis)
 
     p_comp = sub.add_parser("compose-perms", help="compose permutations left to right")
@@ -274,12 +282,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inc = sub.add_parser("include", help="slice-level inclusion check per order")
     p_inc.add_argument("--lhs", required=True)
     p_inc.add_argument("--rhs", required=True)
-    p_inc.add_argument("--max-n", type=int, required=True)
+    p_inc.add_argument("--max-n", type=_order, required=True)
     p_inc.set_defaults(run=_cmd_include)
 
     p_suite = sub.add_parser("suite", help="run named verification checks")
     p_suite.add_argument("--names", default="all")
-    p_suite.add_argument("--max-n", type=int, default=None)
+    p_suite.add_argument("--max-n", type=_order, default=None)
     p_suite.set_defaults(run=_cmd_suite)
 
     return parser

@@ -271,6 +271,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_TOKEN_ECHO = 40  # longest token text an error message echoes; longer ones are cut
+
+
+def _echo(token) -> str:
+    text = repr(token)
+    return text if len(text) <= _TOKEN_ECHO else text[:_TOKEN_ECHO] + "..."
+
+
 # Deepest nesting of class expressions the parser accepts.  It keeps parsing,
 # rendering and membership well inside the interpreter's recursion limit.
 MAX_NESTING = 100
@@ -316,7 +324,7 @@ class _Parser:
             return _ATOMS[name]()
         nxt = self.peek()
         if nxt is None or nxt[1] != "(":
-            raise self.error(f"unknown atom {name!r}" if name not in _FUNC_NAMES else "expected '('")
+            raise self.error(f"unknown atom {_echo(name)}" if name not in _FUNC_NAMES else "expected '('")
         self.take("sym", "(")
         self.depth += 1
         out = self.func_body(name, tok[2])
@@ -354,7 +362,7 @@ class _Parser:
             if self.peek() and self.peek()[1] == ",":
                 raise self.error(f"{name} takes exactly one argument")
             return _UNARIES[name](child)
-        raise ClassSyntaxError(f"unknown function {name!r}", name_pos)
+        raise ClassSyntaxError(f"unknown function {_echo(name)}", name_pos)
 
     def perm_literal(self) -> Permutation:
         tok = self.peek()
@@ -366,7 +374,7 @@ class _Parser:
             try:
                 return Permutation(int(ch) for ch in digits)
             except ValueError:
-                raise ClassSyntaxError(f"bad permutation literal {digits!r}", tok[2]) from None
+                raise ClassSyntaxError(f"bad permutation literal {_echo(digits)}", tok[2]) from None
         if tok[1] == "[":
             self.i += 1
             vals = []
@@ -376,7 +384,7 @@ class _Parser:
             try:
                 return Permutation(vals)
             except ValueError:
-                raise ClassSyntaxError(f"bad permutation literal {vals!r}", close[2]) from None
+                raise ClassSyntaxError(f"bad permutation literal {_echo(vals)}", close[2]) from None
         raise self.error("expected a permutation literal")
 
 

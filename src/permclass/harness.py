@@ -378,11 +378,11 @@ def _factor_failures(
 
 
 def _filter_count_failures(cls: ClassExpr, counts: list[int], config: Config) -> Iterator[str]:
-    """Compare generator counts with counts from filtering S_n, up to order 8."""
+    """Compare enumerated counts with counts from filtering S_n, up to order 8."""
     for n in range(1, min(8, len(counts)) + 1):
         filtered = sum(1 for p in all_perms(n) if member(cls, p, config))
         if filtered != counts[n - 1]:
-            yield f"order {n}: filter count {filtered} != generator count {counts[n - 1]}"
+            yield f"order {n}: filter count {filtered} != enumerated count {counts[n - 1]}"
 
 
 def _increasing_colorable(p: Permutation, k: int) -> bool:
@@ -501,9 +501,9 @@ def _count_l2(cap: int, config: Config) -> Iterator[str]:
     counts = count(LayeredK(2), cap, _widened(config, cap))
     for n, c in enumerate(counts, start=1):
         if n >= 2 and c != n:
-            yield f"order {n}: generator count {c} != {n}"
+            yield f"order {n}: enumerated count {c} != {n}"
     if counts and counts[0] != 1:
-        yield f"order 1: generator count {counts[0]} != 1"
+        yield f"order 1: enumerated count {counts[0]} != 1"
     yield from _filter_count_failures(LayeredK(2), counts, config)
 
 

@@ -6,12 +6,13 @@ value rendered as "e".
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Permutation:
     """A bijection on {1, ..., n} in one-line notation."""
 
@@ -215,12 +216,10 @@ def greedy_increasing_chains(p: Permutation) -> list[list[int]]:
     return chains
 
 
-def lis(p: Permutation) -> int:
-    """Length of a longest increasing subsequence (patience sorting)."""
-    import bisect
-
+def _patience(values: Iterable[int]) -> int:
+    """Length of a longest increasing subsequence of a value sequence."""
     piles: list[int] = []
-    for v in p.values:
+    for v in values:
         k = bisect.bisect_left(piles, v)
         if k == len(piles):
             piles.append(v)
@@ -229,9 +228,14 @@ def lis(p: Permutation) -> int:
     return len(piles)
 
 
+def lis(p: Permutation) -> int:
+    """Length of a longest increasing subsequence (patience sorting)."""
+    return _patience(p.values)
+
+
 def lds(p: Permutation) -> int:
-    """Length of a longest decreasing subsequence."""
-    return lis(Permutation(reversed(p.values))) if len(p) else 0
+    """Length of a longest decreasing subsequence (patience sorting, right to left)."""
+    return _patience(reversed(p.values))
 
 
 def all_perms(n: int) -> Iterator[Permutation]:

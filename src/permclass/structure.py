@@ -1,13 +1,13 @@
 """Structural decompositions and searches: layers, blocks, colorings, splits.
 
-All searches are exhaustive backtracking with lexicographic first-witness
-determinism, so outputs are reproducible and usable as oracles.
+Every search returns its lexicographically first witness (colorings by
+backtracking, V/H splits by one greedy pass), so outputs are reproducible.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .exprs import ClassExpr, Inc
 from .perms import (
@@ -19,6 +19,9 @@ from .perms import (
     decreasing,
     pattern_of,
 )
+
+if TYPE_CHECKING:
+    from .algebra import Config, SliceCache
 
 
 class NotLayeredError(ValueError):
@@ -170,10 +173,16 @@ def is_close(a: Permutation, b: Permutation, c: int, l: int) -> bool:
     return exceptions <= l
 
 
-def _member_predicates(constraints: Sequence[ClassExpr]) -> list[Callable[[Permutation], bool]]:
-    from .algebra import member
+def _member_predicates(
+    constraints: Sequence[ClassExpr],
+    config: Optional[Config] = None,
+    cache: Optional[SliceCache] = None,
+) -> list[Callable[[Permutation], bool]]:
+    """One membership test per constraint; None means DEFAULT_CONFIG, the global cache."""
+    from .algebra import DEFAULT_CONFIG, member
 
-    return [lambda q, c=c: member(c, q) for c in constraints]
+    config = DEFAULT_CONFIG if config is None else config
+    return [lambda q, c=c: member(c, q, config, cache) for c in constraints]
 
 
 def coloring_search(
@@ -212,9 +221,14 @@ def coloring_search(
     return None
 
 
-def merge_split(p: Permutation, constraints: Sequence[ClassExpr]) -> Optional[Coloring]:
+def merge_split(
+    p: Permutation,
+    constraints: Sequence[ClassExpr],
+    config: Optional[Config] = None,
+    cache: Optional[SliceCache] = None,
+) -> Optional[Coloring]:
     """Witness coloring for membership of p in the merge of the constraint classes."""
-    return coloring_search(p, _member_predicates(constraints))
+    return coloring_search(p, _member_predicates(constraints, config, cache))
 
 
 def _compositions(total: int, parts: int):
@@ -227,43 +241,51 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _greedy_cuts(
+    n: int, preds: Sequence[Callable[[Permutation], bool]], piece: Callable[[int, int], Permutation]
+) -> Optional[tuple[int, ...]]:
+    """The lexicographically first cuts 0 <= c_1 <= ... <= c_{k-1} <= n with each
+    piece(c_{i-1}, c_i) accepted by preds[i] (c_0 = 0, c_k = n), or None, with
+    O(n + k) calls.  Parts are taken from the right, each as large as possible:
+    the predicates are downward closed, so by induction every greedy cut is at
+    most the same cut of any valid vector."""
+    end = n
+    starts = []
+    for pred in reversed(preds):
+        start = end
+        while start > 0 and pred(piece(start - 1, end)):
+            start -= 1
+        if start == end and not pred(EMPTY):
+            return None
+        starts.append(start)
+        end = start
+    return None if end else tuple(reversed(starts[:-1]))
+
+
 def vertical_split(
-    p: Permutation, constraints: Sequence[ClassExpr]
+    p: Permutation,
+    constraints: Sequence[ClassExpr],
+    config: Optional[Config] = None,
+    cache: Optional[SliceCache] = None,
 ) -> Optional[tuple[int, ...]]:
     """Cut positions splitting p into consecutive segments lying in the constraint
-    classes, or None.  Returns the k-1 positions after which cuts fall."""
-    preds = _member_predicates(constraints)
-    n = len(p)
-    vals = p.values
-    for comp in _compositions(n, len(constraints)):
-        start = 0
-        for size, pred in zip(comp, preds):
-            if not pred(pattern_of(vals[start : start + size])):
-                break
-            start += size
-        else:
-            return tuple(itertools.accumulate(comp))[:-1]
-    return None
+    classes, or None.  Returns the k-1 positions after which cuts fall, the
+    lexicographically first such tuple."""
+    preds = _member_predicates(constraints, config, cache)
+    return _greedy_cuts(len(p), preds, lambda lo, hi: pattern_of(p.values[lo:hi]))
 
 
 def horizontal_split(
-    p: Permutation, constraints: Sequence[ClassExpr]
+    p: Permutation,
+    constraints: Sequence[ClassExpr],
+    config: Optional[Config] = None,
+    cache: Optional[SliceCache] = None,
 ) -> Optional[tuple[int, ...]]:
     """Value thresholds splitting p into stacked consecutive-value parts lying in
-    the constraint classes, or None.  Returns the k-1 cut values."""
-    preds = _member_predicates(constraints)
-    n = len(p)
-    vals = p.values
-    for comp in _compositions(n, len(constraints)):
-        base = 0
-        for size, pred in zip(comp, preds):
-            part = [v for v in vals if base < v <= base + size]
-            if not pred(pattern_of(part)):
-                break
-            base += size
-        else:
-            return tuple(itertools.accumulate(comp))[:-1]
-    return None
+    the constraint classes, or None.  Returns the k-1 cut values, the
+    lexicographically first such tuple."""
+    preds = _member_predicates(constraints, config, cache)
+    return _greedy_cuts(len(p), preds, lambda lo, hi: pattern_of([v for v in p if lo < v <= hi]))
 
 
 def jv_split(
@@ -354,14 +376,13 @@ def deletion_distance_to(
     p: Permutation, expr: ClassExpr, max_del: int
 ) -> Optional[int]:
     """Smallest number d <= max_del of deletions taking p into the class, or None."""
-    from .algebra import member
-
+    (pred,) = _member_predicates([expr])
     vals = p.values
     n = len(vals)
     for d in range(0, min(max_del, n) + 1):
         for cut in itertools.combinations(range(n), d):
             removed = set(cut)
             rest = [vals[i] for i in range(n) if i not in removed]
-            if member(expr, pattern_of(rest)):
+            if pred(pattern_of(rest)):
                 return d
     return None

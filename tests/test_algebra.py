@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permclass.algebra import (
+    ClassSlice,
     Config,
     ResourceLimitError,
     SliceCache,
@@ -10,6 +11,7 @@ from permclass.algebra import (
     count,
     member,
     member_independent,
+    slice_cache,
 )
 from permclass.exprs import parse_class
 from permclass.perms import Permutation, all_perms, from_text, lds, pattern_of
@@ -98,17 +100,21 @@ def test_empty_order_slices():
 
 
 def test_member_matches_slice_exhaustively():
+    # Growth (and the derivations of comp/and/or/rev/cpl/inv) against filtering
+    # S_n by member, for every node type, all through one shared cache.
     exprs = [
-        "Ik(2)", "Dk(2)", "L", "Lk(3)", "F2", "Vk(2)", "Hk(3)",
-        "Av(321,2413)", "V(I,D)", "H(I,I)", "merge(I,D)",
-        "comp(Ik(2),D)", "rev(Lk(2))", "and(Ik(2),Av(2143))",
+        "I", "D", "L", "F2", "All", "Ik(0)", "Ik(2)", "Dk(2)", "Lk(3)", "Vk(2)", "Hk(3)",
+        "Av(321,2413)", "Av([ ])", "V(I,D)", "H(I,I)", "V(comp(Lk(2),Lk(2)),I)",
+        "H(D,comp(Ik(2),D))", "merge(I,D)", "merge(Lk(2),Vk(2))", "comp(Ik(2),D)",
+        "and(Ik(2),Av(2143))", "or(Lk(2),Vk(2))", "rev(Lk(2))", "cpl(Hk(2))", "inv(Vk(2))",
     ]
+    cache = SliceCache()
     for text in exprs:
         expr = parse_class(text)
-        for n in range(0, 5):
-            slice_members = class_slice(expr, n).members
-            for p in all_perms(n):
-                assert member(expr, p) == (p in slice_members), (text, str(p))
+        for n in range(0, 7):
+            slice_members = class_slice(expr, n, cache=cache).members
+            filtered = {p for p in all_perms(n) if member(expr, p, cache=cache)}
+            assert slice_members == filtered, (text, n)
 
 
 def test_member_independent_agrees_on_compositions():
@@ -116,6 +122,23 @@ def test_member_independent_agrees_on_compositions():
     for n in range(0, 5):
         for p in all_perms(n):
             assert member_independent(expr, p) == member(expr, p)
+
+
+def test_member_independent_ignores_global_cache_in_splits():
+    # Plant empty comp(I,I) slices in the process-wide cache: member then
+    # rejects 123 in each class below, while the cache-free path does not.
+    comp = parse_class("comp(I,I)")
+    slice_cache().clear()
+    try:
+        for n in (1, 2, 3):
+            slice_cache().get_or_compute(("comp(I,I)", n), lambda: ClassSlice(comp, n, frozenset()))
+        for text in ("V(comp(I,I))", "H(comp(I,I))", "merge(comp(I,I),D)"):
+            expr = parse_class(text)
+            assert member(expr, from_text("123")) is False, text
+            assert member_independent(expr, from_text("123")) is True, text
+            assert member(expr, from_text("123"), cache=SliceCache()) is True, text
+    finally:
+        slice_cache().clear()
 
 
 def test_downward_closure_of_slices():

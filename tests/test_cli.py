@@ -42,6 +42,13 @@ def test_usage_error_exit_2(capsys):
     assert run(capsys, "bogus-subcommand")[0] == 2
     assert run(capsys, "suite", "--names", "count-L2", "--jobs", "2")[0] == 2
     assert run(capsys, "include", "--lhs", "I", "--rhs", "I", "--max-n", "2", "--jobs", "2")[0] == 2
+    # orders and lengths are non-negative integers
+    assert run(capsys, "enumerate", "--class", "I", "-n", "-1")[0] == 2
+    assert run(capsys, "count", "--class", "I", "--max-n", "-1")[0] == 2
+    assert run(capsys, "basis", "--class", "I", "--max-len", "-1")[0] == 2
+    assert run(capsys, "include", "--lhs", "I", "--rhs", "I", "--max-n", "-2")[0] == 2
+    assert run(capsys, "suite", "--names", "count-L2", "--max-n", "-1")[0] == 2
+    assert run(capsys, "enumerate", "--class", "I", "-n", "x")[0] == 2
 
 
 def test_deep_nesting_exit_2(capsys):
@@ -50,6 +57,12 @@ def test_deep_nesting_exit_2(capsys):
     assert code == 2 and out == ""
     assert "nested deeper" in err and "Traceback" not in err
     assert len(err.encode()) < 500
+    # the parser's own messages cut long tokens too
+    long_name = "A" * 2000
+    for text in (long_name, long_name + "(I)", "Av(" + "1" * 2000 + ")"):
+        code, out, err = run(capsys, "member", "--class", text, "--perm", "1")
+        assert code == 2 and out == ""
+        assert len(err.encode()) < 500
 
 
 def test_enumerate_matches_library(capsys):
@@ -142,6 +155,18 @@ def test_json_member_and_decompose(capsys):
         capsys, "--format", "json", "decompose", "--method", "vkhk", "--perm", "2143", "-k", "2"
     )
     assert json.loads(out)["target"] == [2, 1, 4, 3]
+
+
+def test_env_cap_applies_inside_splits(capsys, monkeypatch):
+    # The comp piece of each split of 12345 has order 4, past the cap.
+    monkeypatch.setenv("PERMCLASS_MAX_N", "3")
+    assert run(capsys, "member", "--class", "comp(I,I)", "--perm", "1234")[0] == 3
+    for cls in ("V(comp(I,I),D)", "H(comp(I,I),D)", "merge(comp(I,I),D)"):
+        code, out, err = run(capsys, "member", "--class", cls, "--perm", "12345")
+        assert code == 3 and out == "" and "cap" in err, cls
+    monkeypatch.delenv("PERMCLASS_MAX_N")
+    for cls in ("V(comp(I,I),D)", "H(comp(I,I),D)", "merge(comp(I,I),D)"):
+        assert run(capsys, "member", "--class", cls, "--perm", "12345")[:2] == (0, "true\n")
 
 
 def test_env_cap_applies_to_enumeration(capsys, monkeypatch):

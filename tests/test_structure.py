@@ -1,6 +1,9 @@
+import itertools
+import time
+
 import pytest
 
-from permclass.algebra import class_slice
+from permclass.algebra import class_slice, member
 from permclass.exprs import Dec, HorizK, Inc, parse_class
 from permclass.perms import (
     EMPTY,
@@ -18,6 +21,7 @@ from permclass.structure import (
     LayerShape,
     NotLayeredError,
     SplitContractError,
+    _compositions,
     _is_alternating,
     alternating_superpattern,
     colayers,
@@ -137,6 +141,52 @@ def test_vertical_horizontal_split_oracles():
     # empty segments are allowed
     assert vertical_split(from_text("12"), [Inc(), Inc()]) == (0,)
     assert vertical_split(EMPTY, [Inc(), Inc()]) == (0,)
+
+
+def _exhaustive_split(p, constraints, piece):
+    """Reference: the first weak composition, in lexicographic order, whose
+    pieces all lie in their classes."""
+    for comp in _compositions(len(p), len(constraints)):
+        bounds = (0, *itertools.accumulate(comp))
+        if all(
+            member(c, piece(p, lo, hi)) for c, lo, hi in zip(constraints, bounds, bounds[1:])
+        ):
+            return bounds[1:-1]
+    return None
+
+
+def _segment(p, lo, hi):
+    return pattern_of(p.values[lo:hi])
+
+
+def _value_range(p, lo, hi):
+    return pattern_of([v for v in p.values if lo < v <= hi])
+
+
+def test_greedy_splits_match_exhaustive_search():
+    constraint_lists = [
+        ["I", "I"], ["D", "I"], ["I", "D", "I"], ["Av(321)", "D"], ["Lk(2)", "Ik(2)"],
+        ["Av([ ])"], ["I", "Av([ ])"], ["Ik(0)", "D"], ["D", "Ik(0)", "I"], ["Vk(2)"],
+    ]
+    for texts in constraint_lists:
+        constraints = [parse_class(t) for t in texts]
+        for n in range(0, 7):
+            for p in all_perms(n):
+                assert vertical_split(p, constraints) == _exhaustive_split(
+                    p, constraints, _segment
+                ), (texts, str(p))
+                assert horizontal_split(p, constraints) == _exhaustive_split(
+                    p, constraints, _value_range
+                ), (texts, str(p))
+
+
+def test_split_of_long_decreasing_is_fast():
+    six = [parse_class("Av(321)")] * 6
+    start = time.perf_counter()
+    assert vertical_split(decreasing(40), six) is None
+    assert horizontal_split(decreasing(40), six) is None
+    assert member(parse_class("V(" + ",".join(["Av(321)"] * 6) + ")"), decreasing(40)) is False
+    assert time.perf_counter() - start < 1.0
 
 
 def test_jv_split_oracles():
