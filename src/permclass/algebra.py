@@ -8,7 +8,8 @@ are memoized by canonical rendering and order in a plain, unlocked dict.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from itertools import repeat
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from . import structure
@@ -81,7 +82,7 @@ class ClassSlice:
         return len(self.members)
 
     def __iter__(self) -> Iterator[Permutation]:
-        return iter(sorted(self.members))
+        return iter(sorted(self.members, key=attrgetter("values")))
 
 
 class SliceCache:
@@ -245,31 +246,37 @@ def _grow(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> set[Per
             cand = tuple([v + 1 if v >= j else v for v in vals]) + (j,)
             if j < n and cand[:top] + cand[top + 1 :] not in prev:
                 continue
-            p = Permutation(cand)
+            p = Permutation._trusted(cand)
             if member(expr, p, config, cache):
                 out.add(p)
     return out
 
 
+# Largest order a product build handles: it holds permutations as byte strings.
+MAX_PRODUCT_ORDER = 255
+
+
 def _compose_slice(expr: Comp, n: int, config: Config, cache: SliceCache) -> set[Permutation]:
-    acc: set[tuple[int, ...]] = {
-        p.values for p in class_slice(expr.children[0], n, config, cache).members
-    }
-    for child in expr.children[1:]:
-        right = class_slice(child, n, config, cache).members
-        if n == 0:
-            if not right:
-                acc = set()
-            continue
-        nxt: set[tuple[int, ...]] = set()
-        for q in right:
-            if n == 1:
-                nxt |= acc
-                continue
-            pick = itemgetter(*(j - 1 for j in q.values))
-            nxt.update(map(pick, acc))
+    """The products a1 o ... o ak, built right to left on byte strings.
+
+    Each step maps every accumulated b to a o b for one left factor a at a
+    time, through a 256-byte table with table[v] = a(v), so the loop over
+    pairs runs inside bytes.translate.
+    """
+    if n > MAX_PRODUCT_ORDER:
+        raise ResourceLimitError(
+            f"composition at order {n} exceeds the product build's limit {MAX_PRODUCT_ORDER}"
+        )
+    pad = bytes(MAX_PRODUCT_ORDER - n)
+    *lefts, last = expr.children
+    acc = {bytes(p.values) for p in class_slice(last, n, config, cache).members}
+    for child in reversed(lefts):
+        nxt: set[bytes] = set()
+        for a in class_slice(child, n, config, cache).members:
+            table = bytes((0, *a.values)) + pad
+            nxt.update(map(bytes.translate, acc, repeat(table)))
         acc = nxt
-    return {Permutation(vals) for vals in acc}
+    return {Permutation._trusted(tuple(b)) for b in acc}
 
 
 def count(expr: ClassExpr, n_max: int, config: Config = DEFAULT_CONFIG) -> list[int]:

@@ -38,7 +38,7 @@ class _UsageError(Exception):
 
 
 def _order(text: str) -> int:
-    """argparse type of the order and length options: an integer >= 0."""
+    """argparse type of the order, length and count options: an integer >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -49,10 +49,10 @@ def _parse_perm(text: str) -> Permutation:
     try:
         return from_text(text)
     except ValueError as exc:
-        raise _UsageError(f"bad permutation {text!r}: {exc}") from None
+        raise _UsageError(f"bad permutation {_excerpt(text, 0)}: {exc}") from None
 
 
-# Longest expression text a parse error echoes whole; longer text is shown as a
+# Longest argument text a parse error echoes whole; longer text is shown as a
 # window of this many characters around the error position.
 _ECHO_LIMIT = 80
 
@@ -272,10 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="constructive factorization of a permutation")
     p_dec.add_argument("--method", choices=("vkhk", "ikil", "l4", "thm52"), required=True)
     p_dec.add_argument("--perm", required=True)
-    p_dec.add_argument("-k", type=int, default=2)
-    p_dec.add_argument("-l", type=int, default=2)
+    p_dec.add_argument("-k", type=_order, default=2)
+    p_dec.add_argument("-l", type=_order, default=2)
     p_dec.add_argument("--alpha", default="1")
-    p_dec.add_argument("--beta-len", type=int, default=1)
+    p_dec.add_argument("--beta-len", type=_order, default=1)
     p_dec.add_argument("--gamma", default="1")
     p_dec.set_defaults(run=_cmd_decompose)
 

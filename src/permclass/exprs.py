@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .perms import Permutation, to_text
 
@@ -24,6 +25,20 @@ class ClassExpr:
     """Base of all class-expression nodes."""
 
     __slots__ = ()
+
+    # Nodes are immutable and non-slotted, so the key is stored in the instance
+    # dict on first use; it is not a field, so eq, hash and repr ignore it.
+    @cached_property
+    def _canonical(self) -> str:
+        t = type(self)
+        if t in (Merge, And, Or):
+            parts = sorted(c._canonical for c in self.children)
+            return _NARY_TEXT[t] + "(" + ",".join(parts) + ")"
+        if t in (Comp, Vert, Horiz):
+            return _NARY_TEXT[t] + "(" + ",".join(c._canonical for c in self.children) + ")"
+        if t in _UNARY_TEXT:
+            return _UNARY_TEXT[t] + "(" + self.child._canonical + ")"
+        return render(self)
 
 
 @dataclass(frozen=True)
@@ -231,16 +246,10 @@ def render(expr: ClassExpr) -> str:
 
 
 def canonical_render(expr: ClassExpr) -> str:
-    """Like render(), but children of commutative nodes (merge/and/or) are sorted."""
-    t = type(expr)
-    if t in (Merge, And, Or):
-        parts = sorted(canonical_render(c) for c in expr.children)
-        return _NARY_TEXT[t] + "(" + ",".join(parts) + ")"
-    if t in (Comp, Vert, Horiz):
-        return _NARY_TEXT[t] + "(" + ",".join(canonical_render(c) for c in expr.children) + ")"
-    if t in _UNARY_TEXT:
-        return _UNARY_TEXT[t] + "(" + canonical_render(expr.child) + ")"
-    return render(expr)
+    """Like render(), but children of commutative nodes (merge/and/or) are sorted.
+
+    Computed once per node object and kept on it."""
+    return expr._canonical
 
 
 class ClassSyntaxError(ValueError):

@@ -11,6 +11,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import factor, structure
@@ -164,7 +165,7 @@ def check_inclusion(
     (lexicographic) witness is reported on failure and re-verified cache-free."""
 
     def verdict(n: int) -> Verdict:
-        members = sorted(class_slice(lhs, n, config).members)
+        members = sorted(class_slice(lhs, n, config).members, key=attrgetter("values"))
         w = next((p for p in members if not member(rhs, p, config)), None)
         if w is None:
             return Verdict("holds")
@@ -206,7 +207,7 @@ def check_equality(
 def _product_escape(members: AbstractSet[Permutation]) -> Optional[Permutation]:
     """The first product p o q of members, in lexicographic order of (p, q),
     that is not itself a member."""
-    ordered = sorted(members)
+    ordered = sorted(members, key=attrgetter("values"))
     products = itertools.starmap(compose, itertools.product(ordered, ordered))
     return next((r for r in products if r not in members), None)
 
@@ -221,7 +222,8 @@ def check_group_closure(
         members = class_slice(expr, n, config).members
         if identity(n) not in members:
             return Verdict("fails", witness=identity(n), reason="missing identity")
-        bad_inv = next((p for p in sorted(members) if inverse(p) not in members), None)
+        ordered = sorted(members, key=attrgetter("values"))
+        bad_inv = next((p for p in ordered if inverse(p) not in members), None)
         if bad_inv is not None:
             return Verdict("fails", witness=bad_inv, reason="inverse escapes")
         escape = _product_escape(members)

@@ -21,8 +21,15 @@ class Permutation:
     def __init__(self, values: Iterable[int]):
         vals = tuple(values)
         if sorted(vals) != list(range(1, len(vals) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(vals)}: {vals!r}")
+            raise ValueError(f"not a permutation of 1..{len(vals)}: {_preview(vals)}")
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...]) -> "Permutation":
+        """Wrap a tuple that is a permutation of 1..n by construction, unvalidated."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "values", values)
+        return p
 
     def __len__(self) -> int:
         return len(self.values)
@@ -56,6 +63,12 @@ class Occurrence:
 
 EMPTY = Permutation(())
 
+_PREVIEW_LEN = 16  # items an error message repeats; longer inputs are cut
+
+
+def _preview(seq: Sequence) -> str:
+    return repr(seq[:_PREVIEW_LEN]) + ("..." if len(seq) > _PREVIEW_LEN else "")
+
 
 def identity(n: int) -> Permutation:
     """The increasing permutation 12...n."""
@@ -77,7 +90,7 @@ def from_text(text: str) -> Permutation:
     if any(ch.isspace() for ch in text):
         return Permutation(int(part) for part in text.split())
     if not text.isdigit():
-        raise ValueError(f"bad permutation literal: {text!r}")
+        raise ValueError(f"bad permutation literal: {_preview(text)}")
     return Permutation(int(ch) for ch in text)
 
 
@@ -95,7 +108,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     if len(p) != len(q):
         raise ValueError(f"cannot compose orders {len(p)} and {len(q)}")
     pv = p.values
-    return Permutation(pv[j - 1] for j in q.values)
+    return Permutation._trusted(tuple([pv[j - 1] for j in q.values]))
 
 
 def compose_all(perms: Sequence[Permutation]) -> Permutation:
@@ -112,16 +125,16 @@ def inverse(p: Permutation) -> Permutation:
     pos = [0] * len(p)
     for i, v in enumerate(p.values, start=1):
         pos[v - 1] = i
-    return Permutation(pos)
+    return Permutation._trusted(tuple(pos))
 
 
 def reverse(p: Permutation) -> Permutation:
-    return Permutation(p.values[::-1])
+    return Permutation._trusted(p.values[::-1])
 
 
 def complement(p: Permutation) -> Permutation:
     n = len(p)
-    return Permutation(n - v + 1 for v in p.values)
+    return Permutation._trusted(tuple([n - v + 1 for v in p.values]))
 
 
 def direct_sum(p: Permutation, q: Permutation) -> Permutation:

@@ -13,8 +13,21 @@ from permclass.algebra import (
     member_independent,
     slice_cache,
 )
-from permclass.exprs import parse_class
-from permclass.perms import Permutation, all_perms, from_text, lds, pattern_of
+from permclass.exprs import (
+    And,
+    Comp,
+    Cpl,
+    Horiz,
+    Inv,
+    Merge,
+    Or,
+    Rev,
+    Vert,
+    canonical_render,
+    parse_class,
+    render,
+)
+from permclass.perms import Permutation, all_perms, decreasing, from_text, lds, pattern_of
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429]
 
@@ -65,16 +78,42 @@ def test_comp_slice_oracle():
     assert member(parse_class("comp(Lk(2),Lk(2))"), from_text("231"))
 
 
+def brute_product(slices):
+    """Reference product: every left-to-right composition of one member per slice."""
+    acc = {p.values for p in slices[0]}
+    for right in slices[1:]:
+        acc = {tuple(p[j - 1] for j in q.values) for p in acc for q in right}
+    return {Permutation(vals) for vals in acc}
+
+
 def test_comp_slice_matches_brute_product():
-    expr = parse_class("comp(Ik(2),Ik(2))")
-    for n in range(0, 6):
-        left = class_slice(parse_class("Ik(2)"), n).members
-        right = class_slice(parse_class("Ik(2)"), n).members
-        brute = set()
-        for p in left:
-            for q in right:
-                brute.add(Permutation(p.values[j - 1] for j in q.values))
-        assert class_slice(expr, n).members == frozenset(brute)
+    # Non-commuting factors, three factors and empty factors (Ik(0) is empty
+    # from order 1 on, Av([ ]) at every order), against the reference product.
+    cases = [
+        "comp(Ik(2),Ik(2))", "comp(Ik(2),Vk(2))", "comp(Vk(2),Ik(2))", "comp(Av(231),Dk(2))",
+        "comp(Dk(2),Av(231))", "comp(Ik(2),Vk(2),Hk(2))", "comp(Vk(2),Av(231),D)",
+        "comp(Ik(0),I)", "comp(D,Ik(0))",
+        "comp(Av([ ]),Ik(2))", "comp(Ik(2),Av([ ]),Vk(2))",
+    ]
+    cache = SliceCache()
+    for text in cases:
+        expr = parse_class(text)
+        for n in range(0, 7):
+            slices = [class_slice(c, n, cache=cache).members for c in expr.children]
+            assert class_slice(expr, n, cache=cache).members == brute_product(slices), (text, n)
+
+
+def test_product_order_limit():
+    # Products are built on byte strings: order 255 is the largest they hold.
+    config = Config(enum_cap=256, compose_merge_cap=256)
+    cache = SliceCache()
+    for n in range(256):  # bottom up, so each growth step recurses one level
+        class_slice(parse_class("D"), n, config, cache)
+    assert set(class_slice(parse_class("comp(D,D,D)"), 255, config, cache)) == {decreasing(255)}
+    # Refused before any child slice is built: building Ik(0) at order 256 on
+    # a fresh cache would recurse past the interpreter's limit.
+    with pytest.raises(ResourceLimitError):
+        class_slice(parse_class("comp(Ik(0),Ik(0))"), 256, config, SliceCache())
 
 
 def test_and_or_rev_cpl_inv_slices():
@@ -99,22 +138,51 @@ def test_empty_order_slices():
     assert len(class_slice(parse_class("Ik(0)"), 1)) == 0
 
 
+EVERY_NODE_TYPE = [
+    "I", "D", "L", "F2", "All", "Ik(0)", "Ik(2)", "Dk(2)", "Lk(3)", "Vk(2)", "Hk(3)",
+    "Av(321,2413)", "Av([ ])", "V(I,D)", "H(I,I)", "V(comp(Lk(2),Lk(2)),I)",
+    "H(D,comp(Ik(2),D))", "merge(I,D)", "merge(Lk(2),Vk(2))", "comp(Ik(2),D)",
+    "and(Ik(2),Av(2143))", "or(Lk(2),Vk(2))", "rev(Lk(2))", "cpl(Hk(2))", "inv(Vk(2))",
+]
+
+
 def test_member_matches_slice_exhaustively():
     # Growth (and the derivations of comp/and/or/rev/cpl/inv) against filtering
     # S_n by member, for every node type, all through one shared cache.
-    exprs = [
-        "I", "D", "L", "F2", "All", "Ik(0)", "Ik(2)", "Dk(2)", "Lk(3)", "Vk(2)", "Hk(3)",
-        "Av(321,2413)", "Av([ ])", "V(I,D)", "H(I,I)", "V(comp(Lk(2),Lk(2)),I)",
-        "H(D,comp(Ik(2),D))", "merge(I,D)", "merge(Lk(2),Vk(2))", "comp(Ik(2),D)",
-        "and(Ik(2),Av(2143))", "or(Lk(2),Vk(2))", "rev(Lk(2))", "cpl(Hk(2))", "inv(Vk(2))",
-    ]
     cache = SliceCache()
-    for text in exprs:
+    for text in EVERY_NODE_TYPE:
         expr = parse_class(text)
         for n in range(0, 7):
             slice_members = class_slice(expr, n, cache=cache).members
             filtered = {p for p in all_perms(n) if member(expr, p, cache=cache)}
             assert slice_members == filtered, (text, n)
+
+
+COMMUTATIVE = {Merge: "merge", And: "and", Or: "or"}
+ORDERED = {Comp: "comp", Vert: "V", Horiz: "H"}
+UNARY = {Rev: "rev", Cpl: "cpl", Inv: "inv"}
+
+
+def uncached_canonical(expr):
+    """Reference canonical text, recomputed from the leaves on every call."""
+    t = type(expr)
+    if t in COMMUTATIVE:
+        return COMMUTATIVE[t] + "(" + ",".join(sorted(map(uncached_canonical, expr.children))) + ")"
+    if t in ORDERED:
+        return ORDERED[t] + "(" + ",".join(map(uncached_canonical, expr.children)) + ")"
+    if t in UNARY:
+        return UNARY[t] + "(" + uncached_canonical(expr.child) + ")"
+    return render(expr)
+
+
+def test_canonical_render_is_cached_per_node_without_changing_it():
+    for text in EVERY_NODE_TYPE + ["and(or(Vk(2),Lk(2)),merge(D,I),rev(or(D,I)))"]:
+        expr, twin = parse_class(text), parse_class(text)
+        before = (repr(expr), hash(expr))
+        assert canonical_render(expr) == uncached_canonical(expr), text
+        assert canonical_render(expr) == canonical_render(expr)
+        assert (repr(expr), hash(expr)) == before == (repr(twin), hash(twin))
+        assert expr == twin and twin == expr
 
 
 def test_member_independent_agrees_on_compositions():

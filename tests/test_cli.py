@@ -49,6 +49,8 @@ def test_usage_error_exit_2(capsys):
     assert run(capsys, "include", "--lhs", "I", "--rhs", "I", "--max-n", "-2")[0] == 2
     assert run(capsys, "suite", "--names", "count-L2", "--max-n", "-1")[0] == 2
     assert run(capsys, "enumerate", "--class", "I", "-n", "x")[0] == 2
+    for option in ("-k", "-l", "--beta-len"):
+        assert run(capsys, "decompose", "--method", "vkhk", "--perm", "21", option, "-1")[0] == 2
 
 
 def test_deep_nesting_exit_2(capsys):
@@ -61,6 +63,11 @@ def test_deep_nesting_exit_2(capsys):
     long_name = "A" * 2000
     for text in (long_name, long_name + "(I)", "Av(" + "1" * 2000 + ")"):
         code, out, err = run(capsys, "member", "--class", text, "--perm", "1")
+        assert code == 2 and out == ""
+        assert len(err.encode()) < 500
+    # and so do bad permutations
+    for perm in (" ".join(["1"] * 3000), "x" * 3000, "1 " * 1000 + "x" * 3000):
+        code, out, err = run(capsys, "member", "--class", "I", "--perm", perm)
         assert code == 2 and out == ""
         assert len(err.encode()) < 500
 

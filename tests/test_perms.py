@@ -109,6 +109,16 @@ def test_reverse_complement_as_compositions(p):
     assert complement(complement(p)) == p
 
 
+@given(perm_strategy(9), perm_strategy(9))
+def test_unvalidated_results_pass_validation(p, q):
+    # compose, inverse, reverse and complement skip the constructor's check.
+    n = max(len(p), len(q))
+    p, q = (direct_sum(x, identity(n - len(x))) for x in (p, q))
+    for r in (compose(p, q), inverse(p), reverse(p), complement(p)):
+        assert type(r.values) is tuple
+        assert Permutation(r.values) == r and hash(Permutation(r.values)) == hash(r)
+
+
 @given(perm_strategy(5), perm_strategy(5), perm_strategy(5))
 def test_compose_associative(p, q, r):
     n = max(len(p), len(q), len(r))
