@@ -1,54 +1,22 @@
 """Membership, enumeration, counting and basis computation for class expressions.
 
-`member` defines each node type.  `comp`, `and`/`or` and `rev`/`cpl`/`inv` derive
-their order-n slices from their children's; every other node grows its slice
-from order n-1 (exact, as every node denotes a downward-closed class).  Slices
-are memoized by canonical rendering and order in a plain, unlocked dict.
+`_RULES` holds one row per node type: its membership rule and, for `comp`,
+`and`/`or` and `rev`/`cpl`/`inv`, the rule deriving its order-n slice from its
+children's.  Every other node grows its slice bottom up from order n-1 (exact,
+as every node denotes a downward-closed class); the basis comes from the same
+growth.  Slices are memoized by canonical rendering and order in a plain dict.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import attrgetter
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from . import structure
-from .exprs import (
-    AllPerms,
-    And,
-    Av,
-    ClassExpr,
-    Comp,
-    Cpl,
-    Dec,
-    DecK,
-    FibLayered,
-    Horiz,
-    HorizK,
-    Inc,
-    IncK,
-    Inv,
-    LayeredAll,
-    LayeredK,
-    Merge,
-    Or,
-    Rev,
-    Vert,
-    VertK,
-    canonical_render,
-)
+from . import exprs, structure
+from .exprs import ClassExpr, Comp, canonical_render
 from .perms import (
-    EMPTY,
-    Permutation,
-    all_perms,
-    complement,
-    compose,
-    contains,
-    inverse,
-    lds,
-    lis,
-    pattern_of,
-    reverse,
+    EMPTY, Permutation, complement, compose, contains, inverse, lds, lis, pattern_of, reverse,
 )
 
 
@@ -98,6 +66,9 @@ class SliceCache:
             hit = self._data[key] = compute()
         return hit
 
+    def __contains__(self, key: tuple[str, int]) -> bool:
+        return key in self._data
+
     def clear(self) -> None:
         self._data.clear()
 
@@ -112,52 +83,7 @@ def member(
     cache: Optional[SliceCache] = None,
 ) -> bool:
     """Decide p in the class denoted by expr, exactly."""
-    n = len(p)
-    if isinstance(expr, AllPerms):
-        return True
-    if isinstance(expr, Inc):
-        return lds(p) <= 1
-    if isinstance(expr, Dec):
-        return lis(p) <= 1
-    if isinstance(expr, IncK):
-        return lds(p) <= expr.k if n else True
-    if isinstance(expr, DecK):
-        return lis(p) <= expr.k if n else True
-    if isinstance(expr, LayeredAll):
-        return structure.layers(p) is not None
-    if isinstance(expr, LayeredK):
-        shape = structure.layers(p)
-        return shape is not None and len(shape.lengths) <= expr.k
-    if isinstance(expr, FibLayered):
-        shape = structure.layers(p)
-        return shape is not None and all(l <= 2 for l in shape.lengths)
-    if isinstance(expr, VertK):
-        return _descents(p) <= expr.k - 1
-    if isinstance(expr, HorizK):
-        return _descents(inverse(p)) <= expr.k - 1
-    if isinstance(expr, Av):
-        return all(contains(p, pat) is None for pat in expr.patterns)
-    if isinstance(expr, Vert):
-        return structure.vertical_split(p, expr.children, config, cache) is not None
-    if isinstance(expr, Horiz):
-        return structure.horizontal_split(p, expr.children, config, cache) is not None
-    if isinstance(expr, Merge):
-        _check_search_cap("merge", n, config)
-        return structure.merge_split(p, expr.children, config, cache) is not None
-    if isinstance(expr, Comp):
-        _check_search_cap("compose", n, config)
-        return p in class_slice(expr, n, config, cache)
-    if isinstance(expr, And):
-        return all(member(c, p, config, cache) for c in expr.children)
-    if isinstance(expr, Or):
-        return any(member(c, p, config, cache) for c in expr.children)
-    if isinstance(expr, Rev):
-        return member(expr.child, reverse(p), config, cache)
-    if isinstance(expr, Cpl):
-        return member(expr.child, complement(p), config, cache)
-    if isinstance(expr, Inv):
-        return member(expr.child, inverse(p), config, cache)
-    raise TypeError(f"unknown expression node: {expr!r}")
+    return _RULES[type(expr)].member(expr, p, config, cache)
 
 
 def _check_search_cap(kind: str, n: int, config: Config) -> None:
@@ -204,52 +130,66 @@ def class_slice(
         raise ResourceLimitError(f"enumeration at order {n} exceeds cap {config.enum_cap}")
     store = cache if cache is not None else _GLOBAL_CACHE
     key = (canonical_render(expr), n)
+    build = _RULES[type(expr)].slice or _grow
     return store.get_or_compute(
-        key, lambda: ClassSlice(expr, n, frozenset(_enumerate(expr, n, config, store)))
+        key, lambda: ClassSlice(expr, n, frozenset(build(expr, n, config, store)))
     )
 
 
-def _enumerate(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> set[Permutation]:
-    if isinstance(expr, Comp):
-        return _compose_slice(expr, n, config, cache)
-    if isinstance(expr, And):
-        sets = [class_slice(c, n, config, cache).members for c in expr.children]
-        return set(frozenset.intersection(*sets))
-    if isinstance(expr, Or):
-        sets = [class_slice(c, n, config, cache).members for c in expr.children]
-        return set(frozenset.union(*sets))
-    if isinstance(expr, Rev):
-        return {reverse(p) for p in class_slice(expr.child, n, config, cache).members}
-    if isinstance(expr, Cpl):
-        return {complement(p) for p in class_slice(expr.child, n, config, cache).members}
-    if isinstance(expr, Inv):
-        return {inverse(p) for p in class_slice(expr.child, n, config, cache).members}
-    return _grow(expr, n, config, cache)
+def _extensions(prev: set[tuple[int, ...]], n: int) -> Iterator[tuple[int, ...]]:
+    """The order-n permutations whose last-entry and largest-entry deletions lie in prev.
+
+    Each member of prev gets a new last entry j in each of the n ways; for j < n
+    the largest entry sits elsewhere, and deleting it must leave a member too.
+    """
+    for vals in prev:
+        top = vals.index(n - 1) if vals else 0
+        for j in range(1, n + 1):
+            cand = tuple([v + 1 if v >= j else v for v in vals]) + (j,)
+            if j == n or cand[:top] + cand[top + 1 :] in prev:
+                yield cand
 
 
 def _grow(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> set[Permutation]:
-    """The one-point extensions of the order-(n-1) slice that `member` accepts.
+    """The extensions of the order-(n-1) slice that `member` accepts.
 
-    Each member of order n-1 gets a new last entry in each of the n ways.  The
-    class is downward closed, so a candidate whose largest entry, once deleted,
-    leaves a non-member of order n-1 is skipped without a membership call.
+    Missing lower orders are built first, bottom up, each through class_slice,
+    so every build finds the order below it cached: no recursion in n.
     """
     # Merge, V and H searches here are bounded by enum_cap, like the slice itself.
     config = replace(config, compose_merge_cap=max(config.compose_merge_cap, n))
     if n == 0:
         return {EMPTY} if member(expr, EMPTY, config, cache) else set()
-    prev = {p.values for p in class_slice(expr, n - 1, config, cache).members}
-    out: set[Permutation] = set()
-    for vals in prev:
-        top = vals.index(n - 1) if vals else 0
-        for j in range(1, n + 1):
-            cand = tuple([v + 1 if v >= j else v for v in vals]) + (j,)
-            if j < n and cand[:top] + cand[top + 1 :] not in prev:
-                continue
-            p = Permutation._trusted(cand)
-            if member(expr, p, config, cache):
-                out.add(p)
-    return out
+    key, low = canonical_render(expr), n - 1
+    while low > 0 and (key, low - 1) not in cache:
+        low -= 1
+    for m in range(low, n):
+        below = class_slice(expr, m, config, cache)
+    prev = {p.values for p in below.members}
+    candidates = map(Permutation._trusted, _extensions(prev, n))
+    return {p for p in candidates if member(expr, p, config, cache)}
+
+
+def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) -> set[Permutation]:
+    """All containment-minimal non-members of length <= max_len.
+
+    Deleting the last entry of one leaves a member, so the length-n elements
+    are the extensions of the order-(n-1) slice with all n one-point deletions
+    in it that `member` rejects.  The order max_len-1 slice is asked for first,
+    so a length past the enumeration cap is refused before any slice is built.
+    """
+    if max_len == 0:
+        return set()
+    class_slice(expr, max_len - 1, config)
+    basis: set[Permutation] = set()
+    for n in range(1, max_len + 1):
+        prev = {p.values for p in class_slice(expr, n - 1, config).members}
+        for vals in _extensions(prev, n):
+            if all(pattern_of(vals[:i] + vals[i + 1 :]).values in prev for i in range(n)):
+                p = Permutation._trusted(vals)
+                if not member(expr, p, config):
+                    basis.add(p)
+    return basis
 
 
 # Largest order a product build handles: it holds permutations as byte strings.
@@ -284,27 +224,83 @@ def count(expr: ClassExpr, n_max: int, config: Config = DEFAULT_CONFIG) -> list[
     return [len(class_slice(expr, n, config)) for n in range(1, n_max + 1)]
 
 
-def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) -> set[Permutation]:
-    """All containment-minimal non-members of length <= max_len.
-
-    A permutation is minimal exactly when every one-element deletion is a
-    member, since non-membership is upward closed for a class.
-    """
-    basis: set[Permutation] = set()
-    for n in range(1, max_len + 1):
-        for p in all_perms(n):
-            if member(expr, p, config):
-                continue
-            vals = p.values
-            if all(
-                member(expr, pattern_of(vals[:i] + vals[i + 1 :]), config)
-                for i in range(n)
-            ):
-                basis.add(p)
-    return basis
-
-
 def slice_cache() -> SliceCache:
     """The process-wide slice cache (exposed for cache-bypassing checks)."""
     return _GLOBAL_CACHE
 
+
+class _Rule(NamedTuple):
+    """A node type's semantics: `member(expr, p, config, cache)`, and `slice(expr,
+    n, config, cache)` deriving the order-n members from the children's slices
+    (None: grown from order n-1).  Both recurse through the module-level names."""
+
+    member: Callable[..., bool]
+    slice: Optional[Callable[..., Iterable[Permutation]]] = None
+
+
+def _mapped(f: Callable[[Permutation], Permutation]) -> _Rule:
+    """rev/cpl/inv: the image of the child class under the involution f."""
+    return _Rule(
+        lambda e, p, config, cache: member(e.child, f(p), config, cache),
+        lambda e, n, config, cache: {f(q) for q in class_slice(e.child, n, config, cache).members},
+    )
+
+
+def _boolean(quantifier, combine) -> _Rule:
+    """and/or: p lies in all/any of the children; the slice combines theirs."""
+    return _Rule(
+        lambda e, p, config, cache: quantifier(member(c, p, config, cache) for c in e.children),
+        lambda e, n, config, cache: combine(
+            *(class_slice(c, n, config, cache).members for c in e.children)
+        ),
+    )
+
+
+def _layered(accept: Callable[[ClassExpr, tuple[int, ...]], bool]) -> _Rule:
+    """L/Lk/F2: layered, with layer lengths that accept(expr, lengths) admits."""
+
+    def rule(e: ClassExpr, p: Permutation, *_) -> bool:
+        shape = structure.layers(p)
+        return shape is not None and accept(e, shape.lengths)
+
+    return _Rule(rule)
+
+
+def _merge_member(e: exprs.Merge, p: Permutation, config: Config, cache) -> bool:
+    _check_search_cap("merge", len(p), config)
+    return structure.merge_split(p, e.children, config, cache) is not None
+
+
+def _comp_member(e: Comp, p: Permutation, config: Config, cache) -> bool:
+    _check_search_cap("compose", len(p), config)
+    return p in class_slice(e, len(p), config, cache)
+
+
+_RULES: dict[type, _Rule] = {
+    exprs.AllPerms: _Rule(lambda e, p, *_: True),
+    exprs.Inc: _Rule(lambda e, p, *_: lds(p) <= 1),
+    exprs.Dec: _Rule(lambda e, p, *_: lis(p) <= 1),
+    exprs.IncK: _Rule(lambda e, p, *_: lds(p) <= e.k),
+    exprs.DecK: _Rule(lambda e, p, *_: lis(p) <= e.k),
+    exprs.LayeredAll: _layered(lambda e, lengths: True),
+    exprs.LayeredK: _layered(lambda e, lengths: len(lengths) <= e.k),
+    exprs.FibLayered: _layered(lambda e, lengths: all(l <= 2 for l in lengths)),
+    exprs.VertK: _Rule(lambda e, p, *_: _descents(p) <= e.k - 1),
+    exprs.HorizK: _Rule(lambda e, p, *_: _descents(inverse(p)) <= e.k - 1),
+    exprs.Av: _Rule(lambda e, p, *_: all(contains(p, pat) is None for pat in e.patterns)),
+    exprs.Vert: _Rule(
+        lambda e, p, config, cache: structure.vertical_split(p, e.children, config, cache)
+        is not None
+    ),
+    exprs.Horiz: _Rule(
+        lambda e, p, config, cache: structure.horizontal_split(p, e.children, config, cache)
+        is not None
+    ),
+    exprs.Merge: _Rule(_merge_member),
+    exprs.Comp: _Rule(_comp_member, _compose_slice),
+    exprs.And: _boolean(all, frozenset.intersection),
+    exprs.Or: _boolean(any, frozenset.union),
+    exprs.Rev: _mapped(reverse),
+    exprs.Cpl: _mapped(complement),
+    exprs.Inv: _mapped(inverse),
+}

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .perms import Permutation, to_text
 
@@ -30,15 +31,7 @@ class ClassExpr:
     # dict on first use; it is not a field, so eq, hash and repr ignore it.
     @cached_property
     def _canonical(self) -> str:
-        t = type(self)
-        if t in (Merge, And, Or):
-            parts = sorted(c._canonical for c in self.children)
-            return _NARY_TEXT[t] + "(" + ",".join(parts) + ")"
-        if t in (Comp, Vert, Horiz):
-            return _NARY_TEXT[t] + "(" + ",".join(c._canonical for c in self.children) + ")"
-        if t in _UNARY_TEXT:
-            return _UNARY_TEXT[t] + "(" + self.child._canonical + ")"
-        return render(self)
+        return _spell(self, canonical=True)
 
 
 @dataclass(frozen=True)
@@ -229,8 +222,8 @@ def _perm_literal(p: Permutation) -> str:
     return "[" + " ".join(str(v) for v in p.values) + "]"
 
 
-def render(expr: ClassExpr) -> str:
-    """Canonical-grammar text for an expression; parses back to an equal tree."""
+def _spell(expr: ClassExpr, canonical: bool) -> str:
+    """Grammar text; the canonical one sorts the children of merge/and/or."""
     t = type(expr)
     if t in _ATOM_TEXT:
         return _ATOM_TEXT[t]
@@ -238,11 +231,20 @@ def render(expr: ClassExpr) -> str:
         return f"{_PARAM_TEXT[t]}({expr.k})"
     if t is Av:
         return "Av(" + ",".join(_perm_literal(p) for p in expr.patterns) + ")"
-    if t in _NARY_TEXT:
-        return _NARY_TEXT[t] + "(" + ",".join(render(c) for c in expr.children) + ")"
+    spell = attrgetter("_canonical") if canonical else render
     if t in _UNARY_TEXT:
-        return _UNARY_TEXT[t] + "(" + render(expr.child) + ")"
+        return _UNARY_TEXT[t] + "(" + spell(expr.child) + ")"
+    if t in _NARY_TEXT:
+        parts = [spell(c) for c in expr.children]
+        if canonical and t in (Merge, And, Or):
+            parts.sort()
+        return _NARY_TEXT[t] + "(" + ",".join(parts) + ")"
     raise TypeError(f"unknown expression node: {expr!r}")
+
+
+def render(expr: ClassExpr) -> str:
+    """Canonical-grammar text for an expression; parses back to an equal tree."""
+    return _spell(expr, canonical=False)
 
 
 def canonical_render(expr: ClassExpr) -> str:

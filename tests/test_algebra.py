@@ -12,9 +12,11 @@ from permclass.algebra import (
     member,
     member_independent,
     slice_cache,
+    _RULES,
 )
 from permclass.exprs import (
     And,
+    ClassExpr,
     Comp,
     Cpl,
     Horiz,
@@ -27,7 +29,7 @@ from permclass.exprs import (
     parse_class,
     render,
 )
-from permclass.perms import Permutation, all_perms, decreasing, from_text, lds, pattern_of
+from permclass.perms import Permutation, all_perms, decreasing, from_text, lds, lis, pattern_of
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429]
 
@@ -107,13 +109,18 @@ def test_product_order_limit():
     # Products are built on byte strings: order 255 is the largest they hold.
     config = Config(enum_cap=256, compose_merge_cap=256)
     cache = SliceCache()
-    for n in range(256):  # bottom up, so each growth step recurses one level
-        class_slice(parse_class("D"), n, config, cache)
     assert set(class_slice(parse_class("comp(D,D,D)"), 255, config, cache)) == {decreasing(255)}
-    # Refused before any child slice is built: building Ik(0) at order 256 on
-    # a fresh cache would recurse past the interpreter's limit.
     with pytest.raises(ResourceLimitError):
         class_slice(parse_class("comp(Ik(0),Ik(0))"), 256, config, SliceCache())
+
+
+def test_high_order_growth_on_a_fresh_cache_does_not_recurse():
+    # Growth builds the missing lower orders bottom up, so the stack depth
+    # does not grow with the order.
+    config = Config(enum_cap=256, compose_merge_cap=256)
+    assert len(class_slice(parse_class("Ik(0)"), 256, config, SliceCache())) == 0
+    got = class_slice(parse_class("comp(I,D)"), 255, config, SliceCache())
+    assert set(got) == {decreasing(255)}
 
 
 def test_and_or_rev_cpl_inv_slices():
@@ -127,6 +134,10 @@ def test_and_or_rev_cpl_inv_slices():
     assert members_text("rev(I)", 4) == ["4321"]
     assert members_text("cpl(D)", 4) == ["1234"]
     assert members_text("inv(Vk(2))", 3) == members_text("Hk(2)", 3)
+    # Av(231) is not closed under reverse-complement, so each map gives another class.
+    assert members_text("rev(Av(231))", 5) == members_text("Av(132)", 5)
+    assert members_text("cpl(Av(231))", 5) == members_text("Av(213)", 5)
+    assert members_text("inv(Av(231))", 5) == members_text("Av(312)", 5)
     assert either is not both
 
 
@@ -144,6 +155,19 @@ EVERY_NODE_TYPE = [
     "H(D,comp(Ik(2),D))", "merge(I,D)", "merge(Lk(2),Vk(2))", "comp(Ik(2),D)",
     "and(Ik(2),Av(2143))", "or(Lk(2),Vk(2))", "rev(Lk(2))", "cpl(Hk(2))", "inv(Vk(2))",
 ]
+
+
+def node_types(expr):
+    """The node types occurring in an expression tree."""
+    children = getattr(expr, "children", ()) + ((expr.child,) if hasattr(expr, "child") else ())
+    return {type(expr)}.union(*map(node_types, children))
+
+
+def test_every_node_type_has_one_rule_and_a_test_expression():
+    node_classes = set(ClassExpr.__subclasses__())
+    assert len(node_classes) == 20
+    assert set(_RULES) == node_classes
+    assert set().union(*(node_types(parse_class(t)) for t in EVERY_NODE_TYPE)) == node_classes
 
 
 def test_member_matches_slice_exhaustively():
@@ -246,6 +270,37 @@ def test_basis_oracles():
     assert h2 == {from_text("321"), from_text("2413"), from_text("2143")}
 
 
+def filtered_basis(expr, max_len):
+    """Reference basis: the non-members of S_n, n <= max_len, whose deletions are all members."""
+    cache = SliceCache()
+    is_member = {
+        p: member(expr, p, cache=cache) for n in range(max_len + 1) for p in all_perms(n)
+    }
+    return {
+        p
+        for p, inside in is_member.items()
+        if p.values and not inside
+        and all(is_member[pattern_of(p.values[:i] + p.values[i + 1 :])] for i in range(len(p)))
+    }
+
+
+def test_basis_from_growth_matches_filtering_every_node_type():
+    for text in EVERY_NODE_TYPE:
+        expr = parse_class(text)
+        assert basis_up_to(expr, 7) == filtered_basis(expr, 7), text
+    assert basis_up_to(parse_class("I"), 0) == set()
+
+
+def test_basis_length_past_the_enumeration_cap_is_refused_first():
+    # Length n needs the order n-1 slice, which is asked for before any other.
+    small = Config(enum_cap=3, compose_merge_cap=3)
+    assert basis_up_to(parse_class("All"), 4, small) == set()
+    slice_cache().clear()
+    with pytest.raises(ResourceLimitError):
+        basis_up_to(parse_class("Ik(2)"), 5, small)
+    assert ("Ik(2)", 0) not in slice_cache()
+
+
 def test_basis_elements_are_minimal_nonmembers():
     expr = parse_class("Lk(2)")
     for b in basis_up_to(expr, 5):
@@ -278,4 +333,5 @@ def test_slice_cache_compute_once():
 def test_incK_membership_is_lds_bound(vals):
     p = Permutation(vals)
     for k in range(0, 4):
-        assert member(parse_class(f"Ik({k})"), p) == (lds(p) <= k or len(p) == 0)
+        assert member(parse_class(f"Ik({k})"), p) == (lds(p) <= k)
+        assert member(parse_class(f"Dk({k})"), p) == (lis(p) <= k)

@@ -85,6 +85,11 @@ def test_count_matches_library(capsys):
     assert got == count(parse_class("Av(321)"), 6)
 
 
+def test_basis_of_length_zero_is_empty(capsys):
+    code, out, _ = run(capsys, "--format", "json", "basis", "--class", "I", "--max-len", "0")
+    assert code == 0 and json.loads(out)["basis"] == []
+
+
 def test_basis_matches_library(capsys):
     code, out, _ = run(capsys, "basis", "--class", "Hk(2)", "--max-len", "6")
     assert code == 0
@@ -180,6 +185,9 @@ def test_env_cap_applies_to_enumeration(capsys, monkeypatch):
     monkeypatch.setenv("PERMCLASS_MAX_N", "3")
     code, _, err = run(capsys, "enumerate", "--class", "All", "-n", "5")
     assert code == 3
+    # A basis up to length n grows the class to order n-1.
+    assert run(capsys, "basis", "--class", "All", "--max-len", "5")[0] == 3
+    assert run(capsys, "basis", "--class", "All", "--max-len", "4")[:2] == (0, "")
     monkeypatch.setenv("PERMCLASS_MAX_N", "not-a-number")
     assert run(capsys, "enumerate", "--class", "All", "-n", "2")[0] == 2
     code, _, err = run(capsys, "suite", "--names", "count-L2")
