@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import exprs, structure
 from .exprs import ClassExpr, Comp, canonical_render
@@ -173,15 +173,15 @@ def _grow(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> set[Per
 def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) -> set[Permutation]:
     """All containment-minimal non-members of length <= max_len.
 
-    Deleting the last entry of one leaves a member, so the length-n elements
-    are the extensions of the order-(n-1) slice with all n one-point deletions
-    in it that `member` rejects.  The order max_len-1 slice is asked for first,
-    so a length past the enumeration cap is refused before any slice is built.
+    The empty permutation is one exactly when the class is empty.  Deleting the
+    last entry of a longer one leaves a member, so the length-n elements are
+    the extensions of the order-(n-1) slice with all n one-point deletions in
+    it that `member` rejects.  The order max_len-1 slice is asked for first, so
+    a length past the enumeration cap is refused before any slice is built.
     """
-    if max_len == 0:
-        return set()
-    class_slice(expr, max_len - 1, config)
-    basis: set[Permutation] = set()
+    if max_len:
+        class_slice(expr, max_len - 1, config)
+    basis = set() if member(expr, EMPTY, config) else {EMPTY}
     for n in range(1, max_len + 1):
         prev = {p.values for p in class_slice(expr, n - 1, config).members}
         for vals in _extensions(prev, n):
@@ -196,27 +196,67 @@ def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) 
 MAX_PRODUCT_ORDER = 255
 
 
-def _compose_slice(expr: Comp, n: int, config: Config, cache: SliceCache) -> set[Permutation]:
-    """The products a1 o ... o ak, built right to left on byte strings.
-
-    Each step maps every accumulated b to a o b for one left factor a at a
-    time, through a 256-byte table with table[v] = a(v), so the loop over
-    pairs runs inside bytes.translate.
-    """
+def _check_product_order(n: int) -> None:
     if n > MAX_PRODUCT_ORDER:
         raise ResourceLimitError(
             f"composition at order {n} exceeds the product build's limit {MAX_PRODUCT_ORDER}"
         )
+
+
+def _product_batches(
+    factors: Sequence[ClassExpr], n: int, config: Config, cache: SliceCache
+) -> Iterator[Iterable[bytes]]:
+    """The products a1 o ... o ak on byte strings, one batch per member a1 of
+    the first factor, in that slice's set order.
+
+    The other factors' partial product is built first, right to left, from
+    these same batches.  A batch maps every accumulated b to a o b through a
+    256-byte table with table[v] = a(v), so the loop over pairs runs inside
+    bytes.translate; callers check n against MAX_PRODUCT_ORDER first.
+    """
+    first, *others = factors
+    if not others:
+        yield [bytes(p.values) for p in class_slice(first, n, config, cache).members]
+        return
+    acc: set[bytes] = set()
+    for batch in _product_batches(others, n, config, cache):
+        acc.update(batch)
     pad = bytes(MAX_PRODUCT_ORDER - n)
-    *lefts, last = expr.children
-    acc = {bytes(p.values) for p in class_slice(last, n, config, cache).members}
-    for child in reversed(lefts):
-        nxt: set[bytes] = set()
-        for a in class_slice(child, n, config, cache).members:
-            table = bytes((0, *a.values)) + pad
-            nxt.update(map(bytes.translate, acc, repeat(table)))
-        acc = nxt
-    return {Permutation._trusted(tuple(b)) for b in acc}
+    for a in class_slice(first, n, config, cache).members:
+        yield map(bytes.translate, acc, repeat(bytes((0, *a.values)) + pad))
+
+
+def _compose_slice(expr: Comp, n: int, config: Config, cache: SliceCache) -> set[Permutation]:
+    _check_product_order(n)
+    products: set[bytes] = set()
+    for batch in _product_batches(expr.children, n, config, cache):
+        products.update(batch)
+    return {Permutation._trusted(tuple(b)) for b in products}
+
+
+def first_non_product(
+    expr: Comp,
+    members: AbstractSet[Permutation],
+    n: int,
+    config: Config = DEFAULT_CONFIG,
+) -> Optional[Permutation]:
+    """The lexicographically first of the order-n members that is not in the
+    product class expr, or None.
+
+    Each batch of products is struck from the members, as byte strings, and
+    the scan stops once none is left.  The product slice is never built: the
+    memory is the members and the partial product of all factors but the first.
+    """
+    if not members:
+        return None
+    _check_search_cap("compose", n, config)
+    _check_product_order(n)
+    rest = {bytes(p.values) for p in members}
+    for batch in _product_batches(expr.children, n, config, _GLOBAL_CACHE):
+        rest.difference_update(batch)
+        if not rest:
+            return None
+    return Permutation._trusted(tuple(min(rest)))
 
 
 def count(expr: ClassExpr, n_max: int, config: Config = DEFAULT_CONFIG) -> list[int]:

@@ -22,6 +22,7 @@ from .algebra import (
     basis_up_to,
     class_slice,
     count,
+    first_non_product,
     member,
     member_independent,
 )
@@ -162,11 +163,19 @@ def check_inclusion(
     config: Config = DEFAULT_CONFIG,
 ) -> InclusionReport:
     """For each order, test every LHS member for RHS membership; the earliest
-    (lexicographic) witness is reported on failure and re-verified cache-free."""
+    (lexicographic) witness is reported on failure and re-verified cache-free.
+
+    Into a product the LHS slice is streamed against the products, which are
+    never stored; any other RHS is asked about each member in order, up to the
+    first failure."""
 
     def verdict(n: int) -> Verdict:
-        members = sorted(class_slice(lhs, n, config).members, key=attrgetter("values"))
-        w = next((p for p in members if not member(rhs, p, config)), None)
+        members = class_slice(lhs, n, config).members
+        if isinstance(rhs, Comp):
+            w = first_non_product(rhs, members, n, config)
+        else:
+            ordered = sorted(members, key=attrgetter("values"))
+            w = next((p for p in ordered if not member(rhs, p, config)), None)
         if w is None:
             return Verdict("holds")
         if member_independent(rhs, w, config):

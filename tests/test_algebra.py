@@ -279,7 +279,7 @@ def filtered_basis(expr, max_len):
     return {
         p
         for p, inside in is_member.items()
-        if p.values and not inside
+        if not inside
         and all(is_member[pattern_of(p.values[:i] + p.values[i + 1 :])] for i in range(len(p)))
     }
 

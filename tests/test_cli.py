@@ -90,6 +90,12 @@ def test_basis_of_length_zero_is_empty(capsys):
     assert code == 0 and json.loads(out)["basis"] == []
 
 
+def test_basis_of_the_empty_class_is_the_empty_permutation(capsys):
+    for max_len in ("0", "1", "5"):
+        code, out, _ = run(capsys, "--format", "json", "basis", "--class", "Av([ ])", "--max-len", max_len)
+        assert code == 0 and json.loads(out)["basis"] == [[]], max_len
+
+
 def test_basis_matches_library(capsys):
     code, out, _ = run(capsys, "basis", "--class", "Hk(2)", "--max-len", "6")
     assert code == 0

@@ -1,7 +1,9 @@
 import json
 
-from permclass.algebra import Config
-from permclass.exprs import IncK, LayeredK, parse_class
+from operator import attrgetter
+
+from permclass.algebra import Config, SliceCache, class_slice, member, slice_cache
+from permclass.exprs import IncK, LayeredK, canonical_render, parse_class, render
 from permclass.harness import (
     REGISTRY,
     UnknownCheckError,
@@ -73,6 +75,80 @@ def test_inclusion_skips_beyond_cap():
     report = check_inclusion(parse_class("I"), parse_class("comp(I,I)"), range(1, 6), tight)
     assert report.skipped_orders == [4, 5]
     assert not report.failed_orders
+    assert report.results[4].reason == "enumeration at order 4 exceeds cap 3"
+    # With the LHS enumerable, the compose cap is what stops the order.
+    wide = Config(enum_cap=5, compose_merge_cap=3)
+    report = check_inclusion(parse_class("I"), parse_class("comp(I,I)"), range(1, 6), wide)
+    assert report.skipped_orders == [4, 5]
+    assert report.results[5].reason == "compose membership at order 5 exceeds cap 3"
+
+
+def test_inclusion_of_an_empty_slice_holds_past_the_compose_cap():
+    wide = Config(enum_cap=5, compose_merge_cap=3)
+    report = check_inclusion(parse_class("Ik(0)"), parse_class("comp(I,I)"), range(0, 6), wide)
+    assert report.holds and sorted(report.results) == [0, 1, 2, 3, 4, 5]
+
+
+def test_inclusion_past_the_product_order_limit_is_skipped():
+    # The byte-string products stop at order 255, after both caps are passed.
+    huge = Config(enum_cap=256, compose_merge_cap=256)
+    report = check_inclusion(parse_class("D"), parse_class("comp(D,D)"), [256], huge)
+    assert report.results[256].reason == (
+        "composition at order 256 exceeds the product build's limit 255"
+    )
+
+
+def test_inclusion_into_a_product_does_not_build_the_product():
+    slice_cache().clear()
+    for lhs in ("Ik(3)", "Ik(5)"):
+        rhs = parse_class("comp(Ik(2),Ik(2))")
+        check_inclusion(parse_class(lhs), rhs, range(0, 7))
+        for n in range(0, 7):
+            assert (canonical_render(rhs), n) not in slice_cache()
+            assert ("Ik(2)", n) in slice_cache()
+
+
+def per_member_inclusion(lhs, rhs, orders):
+    """The per-member path's report: every LHS member in lexicographic order,
+    asked of rhs through `member` on a fresh cache, up to the first failure."""
+    cache = SliceCache()
+    results = {}
+    for n in orders:
+        ordered = sorted(class_slice(lhs, n, cache=cache).members, key=attrgetter("values"))
+        w = next((p for p in ordered if not member(rhs, p, cache=cache)), None)
+        results[str(n)] = (
+            {"status": "holds"} if w is None else {"status": "fails", "witness": list(w.values)}
+        )
+    return {"lhs": render(lhs), "rhs": render(rhs), "results": results}
+
+
+STREAMED_INCLUSIONS = [
+    ("Ik(3)", "comp(Ik(2),Ik(2))"),
+    ("Ik(4)", "comp(Ik(2),Ik(2))"),
+    ("Ik(5)", "comp(Ik(2),Ik(2))"),
+    ("Ik(2)", "comp(Vk(2),Hk(2))"),
+    ("Ik(3)", "comp(Vk(3),Hk(3))"),
+    ("merge(I,D)", "comp(V(I,D),Hk(2))"),
+    ("Ik(3)", "comp(Ik(2),Vk(2),Hk(2))"),
+    ("All", "comp(Ik(2),Vk(2),Hk(2))"),
+    ("All", "comp(Vk(2),Av(231),D)"),
+    ("I", "comp(Ik(0),I)"),
+    ("Ik(0)", "comp(Ik(0),I)"),
+    ("I", "comp(I,Av([ ]))"),
+    ("comp(Ik(2),Ik(2))", "comp(Vk(2),Hk(2))"),
+    ("comp(Vk(2),Hk(2))", "comp(Ik(2),Ik(2))"),
+]
+
+
+def test_streamed_inclusion_matches_per_member_scan():
+    for lhs, rhs in STREAMED_INCLUSIONS:
+        lhs, rhs = parse_class(lhs), parse_class(rhs)
+        got = check_inclusion(lhs, rhs, range(0, 8)).to_json()
+        assert got == per_member_inclusion(lhs, rhs, range(0, 8)), (render(lhs), render(rhs))
+    report = check_inclusion(parse_class("Ik(5)"), parse_class("comp(Ik(2),Ik(2))"), range(0, 6))
+    assert report.failed_orders == [5] and report.results[5].witness == from_text("54321")
+    report = check_inclusion(parse_class("I"), parse_class("comp(I,Av([ ]))"), [0])
+    assert report.results[0].witness == from_text("e")
 
 
 def test_equality_witness_in_symmetric_difference():
