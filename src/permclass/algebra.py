@@ -8,7 +8,7 @@ growth.  Slices are memoized by canonical rendering and order in a plain dict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -21,18 +21,29 @@ from .perms import (
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation would exceed the configured order cap."""
+    """An operation would exceed the order cap or a work limit."""
 
 
 @dataclass(frozen=True)
 class Config:
-    """Order caps for the expensive search paths; override per call as needed."""
+    """The largest order a slice or a membership search may reach; override per call."""
 
-    enum_cap: int = 11  # slice enumeration
-    compose_merge_cap: int = 9  # Compose / Merge membership searches
+    max_order: int = 11
 
 
 DEFAULT_CONFIG = Config()
+
+# Work limits, each checked before the loop it bounds starts.  Growth must admit
+# Ik(4) at order 10 (2,618,080 candidates) and refuse All there (3,628,800); a
+# product level must admit Ik(2)∘Ik(2) at order 10 (282,105,616 pairs) and
+# refuse it at order 11 (3,455,793,796).
+MAX_CANDIDATES = 3_000_000
+MAX_PAIRS = 1_000_000_000
+
+
+def _check_work(n: int, count: int, limit: int, unit: str) -> None:
+    if count > limit:
+        raise ResourceLimitError(f"order {n} needs {count} {unit}, over the limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -86,13 +97,6 @@ def member(
     return _RULES[type(expr)].member(expr, p, config, cache)
 
 
-def _check_search_cap(kind: str, n: int, config: Config) -> None:
-    if n > config.compose_merge_cap:
-        raise ResourceLimitError(
-            f"{kind} membership at order {n} exceeds cap {config.compose_merge_cap}"
-        )
-
-
 def member_independent(expr: ClassExpr, p: Permutation, config: Config = DEFAULT_CONFIG) -> bool:
     """Cache-bypassing membership used to re-verify witnesses.
 
@@ -101,7 +105,6 @@ def member_independent(expr: ClassExpr, p: Permutation, config: Config = DEFAULT
     """
     if isinstance(expr, Comp):
         n = len(p)
-        _check_search_cap("compose", n, config)
         head = expr.children[0] if len(expr.children) == 2 else Comp(expr.children[:-1])
         last = expr.children[-1]
         scratch = SliceCache()
@@ -126,8 +129,8 @@ def class_slice(
     """The exact member set of the class at order n (lexicographic iteration)."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if n > config.enum_cap:
-        raise ResourceLimitError(f"enumeration at order {n} exceeds cap {config.enum_cap}")
+    if n > config.max_order:
+        raise ResourceLimitError(f"enumeration at order {n} exceeds cap {config.max_order}")
     store = cache if cache is not None else _GLOBAL_CACHE
     key = (canonical_render(expr), n)
     build = _RULES[type(expr)].slice or _grow
@@ -142,6 +145,7 @@ def _extensions(prev: set[tuple[int, ...]], n: int) -> Iterator[tuple[int, ...]]
     Each member of prev gets a new last entry j in each of the n ways; for j < n
     the largest entry sits elsewhere, and deleting it must leave a member too.
     """
+    _check_work(n, len(prev) * n, MAX_CANDIDATES, "growth candidates")
     for vals in prev:
         top = vals.index(n - 1) if vals else 0
         for j in range(1, n + 1):
@@ -156,8 +160,6 @@ def _grow(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> set[Per
     Missing lower orders are built first, bottom up, each through class_slice,
     so every build finds the order below it cached: no recursion in n.
     """
-    # Merge, V and H searches here are bounded by enum_cap, like the slice itself.
-    config = replace(config, compose_merge_cap=max(config.compose_merge_cap, n))
     if n == 0:
         return {EMPTY} if member(expr, EMPTY, config, cache) else set()
     key, low = canonical_render(expr), n - 1
@@ -176,11 +178,12 @@ def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) 
     The empty permutation is one exactly when the class is empty.  Deleting the
     last entry of a longer one leaves a member, so the length-n elements are
     the extensions of the order-(n-1) slice with all n one-point deletions in
-    it that `member` rejects.  The order max_len-1 slice is asked for first, so
-    a length past the enumeration cap is refused before any slice is built.
+    it that `member` rejects.  A length past the order cap or the candidate
+    limit is refused up front, before the loop over lengths.
     """
     if max_len:
-        class_slice(expr, max_len - 1, config)
+        top = class_slice(expr, max_len - 1, config)
+        _check_work(max_len, len(top) * max_len, MAX_CANDIDATES, "growth candidates")
     basis = set() if member(expr, EMPTY, config) else {EMPTY}
     for n in range(1, max_len + 1):
         prev = {p.values for p in class_slice(expr, n - 1, config).members}
@@ -221,8 +224,10 @@ def _product_batches(
     acc: set[bytes] = set()
     for batch in _product_batches(others, n, config, cache):
         acc.update(batch)
+    left = class_slice(first, n, config, cache).members
+    _check_work(n, len(left) * len(acc), MAX_PAIRS, "product pairs")
     pad = bytes(MAX_PRODUCT_ORDER - n)
-    for a in class_slice(first, n, config, cache).members:
+    for a in left:
         yield map(bytes.translate, acc, repeat(bytes((0, *a.values)) + pad))
 
 
@@ -249,7 +254,6 @@ def first_non_product(
     """
     if not members:
         return None
-    _check_search_cap("compose", n, config)
     _check_product_order(n)
     rest = {bytes(p.values) for p in members}
     for batch in _product_batches(expr.children, n, config, _GLOBAL_CACHE):
@@ -307,13 +311,9 @@ def _layered(accept: Callable[[ClassExpr, tuple[int, ...]], bool]) -> _Rule:
 
 
 def _merge_member(e: exprs.Merge, p: Permutation, config: Config, cache) -> bool:
-    _check_search_cap("merge", len(p), config)
+    if len(p) > config.max_order:
+        raise ResourceLimitError(f"merge membership at order {len(p)} exceeds cap {config.max_order}")
     return structure.merge_split(p, e.children, config, cache) is not None
-
-
-def _comp_member(e: Comp, p: Permutation, config: Config, cache) -> bool:
-    _check_search_cap("compose", len(p), config)
-    return p in class_slice(e, len(p), config, cache)
 
 
 _RULES: dict[type, _Rule] = {
@@ -337,7 +337,7 @@ _RULES: dict[type, _Rule] = {
         is not None
     ),
     exprs.Merge: _Rule(_merge_member),
-    exprs.Comp: _Rule(_comp_member, _compose_slice),
+    exprs.Comp: _Rule(lambda e, p, *args: p in class_slice(e, len(p), *args), _compose_slice),
     exprs.And: _boolean(all, frozenset.intersection),
     exprs.Or: _boolean(any, frozenset.union),
     exprs.Rev: _mapped(reverse),

@@ -100,10 +100,7 @@ def _config(args) -> Config:
     cap = _env_cap()
     if cap is None:
         return DEFAULT_CONFIG
-    return Config(
-        enum_cap=min(DEFAULT_CONFIG.enum_cap, cap),
-        compose_merge_cap=min(DEFAULT_CONFIG.compose_merge_cap, cap),
-    )
+    return Config(max_order=min(DEFAULT_CONFIG.max_order, cap))
 
 
 def _cmd_member(args) -> int:

@@ -114,6 +114,8 @@ def decompose_ik_il(p: Permutation, k: int, l: int, config: Config = DEFAULT_CON
     The values of chains k+1..k+l-1 are sorted into a single increasing run that
     extends chain k inside the left factor; the right factor is the completion.
     """
+    if k < 1 or l < 1:
+        raise ValueError("k and l must be at least 1")
     if lds(p) > k + l - 1:
         raise ValueError(f"{to_text(p)} needs more than {k + l - 1} increasing chains")
     chains = _chain_values(p)

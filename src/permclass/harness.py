@@ -351,8 +351,8 @@ def _orders(cap: int) -> range:
 
 
 def _widened(config: Config, cap: int) -> Config:
-    """The config with enumeration allowed up to the check's own cap."""
-    return dataclasses.replace(config, enum_cap=max(config.enum_cap, cap))
+    """The config with the order cap raised to the check's own cap."""
+    return dataclasses.replace(config, max_order=max(config.max_order, cap))
 
 
 def _slice_pairs(*pairs: tuple[str, str], equal: bool = False):

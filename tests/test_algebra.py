@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permclass import algebra
 from permclass.algebra import (
     ClassSlice,
     Config,
@@ -107,7 +108,7 @@ def test_comp_slice_matches_brute_product():
 
 def test_product_order_limit():
     # Products are built on byte strings: order 255 is the largest they hold.
-    config = Config(enum_cap=256, compose_merge_cap=256)
+    config = Config(max_order=256)
     cache = SliceCache()
     assert set(class_slice(parse_class("comp(D,D,D)"), 255, config, cache)) == {decreasing(255)}
     with pytest.raises(ResourceLimitError):
@@ -117,7 +118,7 @@ def test_product_order_limit():
 def test_high_order_growth_on_a_fresh_cache_does_not_recurse():
     # Growth builds the missing lower orders bottom up, so the stack depth
     # does not grow with the order.
-    config = Config(enum_cap=256, compose_merge_cap=256)
+    config = Config(max_order=256)
     assert len(class_slice(parse_class("Ik(0)"), 256, config, SliceCache())) == 0
     got = class_slice(parse_class("comp(I,D)"), 255, config, SliceCache())
     assert set(got) == {decreasing(255)}
@@ -247,15 +248,54 @@ def test_downward_closure_of_slices():
 
 
 def test_resource_caps():
-    small = Config(enum_cap=4, compose_merge_cap=3)
-    with pytest.raises(ResourceLimitError):
-        class_slice(parse_class("All"), 5, small, SliceCache())
-    with pytest.raises(ResourceLimitError):
+    small = Config(max_order=3)
+    with pytest.raises(ResourceLimitError, match="^enumeration at order 4 exceeds cap 3$"):
+        class_slice(parse_class("All"), 4, small, SliceCache())
+    with pytest.raises(ResourceLimitError, match="^enumeration at order 4 exceeds cap 3$"):
         member(parse_class("comp(I,D)"), from_text("4321"), small, SliceCache())
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="^merge membership at order 4 exceeds cap 3$"):
         member(parse_class("merge(I,D)"), from_text("4321"), small, SliceCache())
     # non-search memberships are exact at any order
     assert member(parse_class("Ik(2)"), from_text("53412"), small, SliceCache()) is False
+
+
+def test_growth_past_the_candidate_limit_raises_before_any_candidate(monkeypatch):
+    # All grows 2 candidates at order 2 and 6 at order 3.
+    monkeypatch.setattr(algebra, "MAX_CANDIDATES", 5)
+    asked = []
+    monkeypatch.setattr(algebra, "member", lambda e, p, *args: asked.append(len(p)) or True)
+    cache = SliceCache()
+    refusal = "^order 3 needs 6 growth candidates, over the limit 5$"
+    with pytest.raises(ResourceLimitError, match=refusal):
+        class_slice(parse_class("All"), 3, cache=cache)
+    assert ("All", 2) in cache and ("All", 3) not in cache
+    assert asked == [0, 1, 2, 2]
+
+
+def test_basis_past_the_candidate_limit_is_refused_before_the_loop(monkeypatch):
+    monkeypatch.setattr(algebra, "MAX_CANDIDATES", 5)
+    asked = []
+    monkeypatch.setattr(algebra, "member", lambda e, p, *args: asked.append(len(p)) or True)
+    slice_cache().clear()
+    with pytest.raises(ResourceLimitError, match="^order 3 needs 6 growth candidates"):
+        basis_up_to(parse_class("All"), 3)
+    # Only the growth to order 2 ran: the loop over lengths, which starts by
+    # asking about the empty permutation, never began.
+    assert asked == [0, 1, 2, 2]
+
+
+def test_each_level_of_a_product_is_checked_against_the_pair_limit(monkeypatch):
+    # Ik(2) has 14 members at order 4, and Ik(2)∘Ik(2) is all 24 of S_4.
+    expr = parse_class("comp(Ik(2),Ik(2),Ik(2))")
+    refusal = "^order 4 needs {} product pairs, over the limit {}$"
+    monkeypatch.setattr(algebra, "MAX_PAIRS", 14 * 14 - 1)
+    with pytest.raises(ResourceLimitError, match=refusal.format(196, 195)):
+        class_slice(expr, 4, cache=SliceCache())
+    monkeypatch.setattr(algebra, "MAX_PAIRS", 14 * 14)
+    with pytest.raises(ResourceLimitError, match=refusal.format(336, 196)):
+        class_slice(expr, 4, cache=SliceCache())
+    monkeypatch.setattr(algebra, "MAX_PAIRS", 14 * 24)
+    assert len(class_slice(expr, 4, cache=SliceCache())) == 24
 
 
 def test_negative_order_rejected():
@@ -293,7 +333,7 @@ def test_basis_from_growth_matches_filtering_every_node_type():
 
 def test_basis_length_past_the_enumeration_cap_is_refused_first():
     # Length n needs the order n-1 slice, which is asked for before any other.
-    small = Config(enum_cap=3, compose_merge_cap=3)
+    small = Config(max_order=3)
     assert basis_up_to(parse_class("All"), 4, small) == set()
     slice_cache().clear()
     with pytest.raises(ResourceLimitError):

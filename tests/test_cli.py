@@ -129,6 +129,15 @@ def test_decompose_all_methods(capsys):
     assert code == 0 and out.startswith("321\t")
 
 
+def test_decompose_ikil_rejects_zero_chains(capsys):
+    for k, l, perm in (("0", "2", "1"), ("2", "0", "1"), ("0", "1", "e")):
+        code, out, err = run(
+            capsys, "decompose", "--method", "ikil", "--perm", perm, "-k", k, "-l", l
+        )
+        assert (code, out) == (1, "") and err.startswith("error: "), (k, l, perm)
+        assert "Traceback" not in err
+
+
 def test_include_holds_and_fails(capsys):
     code, out, _ = run(
         capsys, "include", "--lhs", "Ik(3)", "--rhs", "comp(Ik(2),Ik(2))", "--max-n", "5"
@@ -198,3 +207,27 @@ def test_env_cap_applies_to_enumeration(capsys, monkeypatch):
     assert run(capsys, "enumerate", "--class", "All", "-n", "2")[0] == 2
     code, _, err = run(capsys, "suite", "--names", "count-L2")
     assert code == 2 and "PERMCLASS_MAX_N" in err
+
+
+@pytest.mark.parametrize(
+    "argv, order, count, limit",
+    [
+        (("enumerate", "--class", "All", "-n", "11"), 10, 3628800, 3000000),
+        (("basis", "--class", "All", "--max-len", "12"), 10, 3628800, 3000000),
+        (("basis", "--class", "All", "--max-len", "10"), 10, 3628800, 3000000),
+        (("enumerate", "--class", "comp(Ik(2),Ik(2))", "-n", "11"), 11, 58786**2, 1000000000),
+    ],
+)
+def test_oversized_work_is_refused_before_its_loop(capsys, argv, order, count, limit):
+    # Each passes the order cap; the growth or pair count is what refuses it.
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        slice_cache().clear()
+    assert (code, out) == (3, "")
+    assert f"order {order} needs {count} " in err and f"over the limit {limit}" in err
+
+
+def test_merge_membership_answers_up_to_the_order_cap(capsys):
+    code, out, _ = run(capsys, "member", "--class", "merge(I,D)", "--perm", "2 1 4 3 6 5 8 7 10 9")
+    assert (code, out) == (0, "false\n")

@@ -2,6 +2,7 @@ import json
 
 from operator import attrgetter
 
+from permclass import algebra
 from permclass.algebra import Config, SliceCache, class_slice, member, slice_cache
 from permclass.exprs import IncK, LayeredK, canonical_render, parse_class, render
 from permclass.harness import (
@@ -70,28 +71,34 @@ def test_inclusion_fails_with_smallest_witness():
     assert report.failed_orders == [3, 4]
 
 
-def test_inclusion_skips_beyond_cap():
-    tight = Config(enum_cap=3, compose_merge_cap=3)
+def test_inclusion_skips_beyond_cap(monkeypatch):
+    tight = Config(max_order=3)
     report = check_inclusion(parse_class("I"), parse_class("comp(I,I)"), range(1, 6), tight)
     assert report.skipped_orders == [4, 5]
     assert not report.failed_orders
     assert report.results[4].reason == "enumeration at order 4 exceeds cap 3"
-    # With the LHS enumerable, the compose cap is what stops the order.
-    wide = Config(enum_cap=5, compose_merge_cap=3)
-    report = check_inclusion(parse_class("I"), parse_class("comp(I,I)"), range(1, 6), wide)
-    assert report.skipped_orders == [4, 5]
-    assert report.results[5].reason == "compose membership at order 5 exceeds cap 3"
+    # Within the order cap, the pair limit is what stops the order: Ik(2) has
+    # 14 members at order 4 and 42 at order 5.
+    monkeypatch.setattr(algebra, "MAX_PAIRS", 14 * 14)
+    report = check_inclusion(parse_class("Ik(3)"), parse_class("comp(Ik(2),Ik(2))"), range(1, 6))
+    assert report.skipped_orders == [5]
+    assert not report.failed_orders
+    assert report.results[5].reason == "order 5 needs 1764 product pairs, over the limit 196"
 
 
-def test_inclusion_of_an_empty_slice_holds_past_the_compose_cap():
-    wide = Config(enum_cap=5, compose_merge_cap=3)
-    report = check_inclusion(parse_class("Ik(0)"), parse_class("comp(I,I)"), range(0, 6), wide)
+def test_inclusion_of_an_empty_slice_holds_past_the_pair_limit(monkeypatch):
+    # Past order 1 each product level has 4 or more pairs, but the RHS is never
+    # touched when the LHS slice is empty.
+    monkeypatch.setattr(algebra, "MAX_PAIRS", 1)
+    rhs = parse_class("comp(Ik(2),Ik(2))")
+    assert check_inclusion(parse_class("I"), rhs, [2]).skipped_orders == [2]
+    report = check_inclusion(parse_class("Ik(0)"), rhs, range(0, 6))
     assert report.holds and sorted(report.results) == [0, 1, 2, 3, 4, 5]
 
 
 def test_inclusion_past_the_product_order_limit_is_skipped():
-    # The byte-string products stop at order 255, after both caps are passed.
-    huge = Config(enum_cap=256, compose_merge_cap=256)
+    # The byte-string products stop at order 255, after the order cap is passed.
+    huge = Config(max_order=256)
     report = check_inclusion(parse_class("D"), parse_class("comp(D,D)"), [256], huge)
     assert report.results[256].reason == (
         "composition at order 256 exceeds the product build's limit 255"
@@ -203,7 +210,7 @@ def test_run_suite_known_and_unknown():
 
 
 def test_run_suite_status_skip_when_an_order_hits_a_cap():
-    tight = Config(enum_cap=3, compose_merge_cap=3)
+    tight = Config(max_order=3)
     (result,) = run_suite(["lemma-kl"], config=tight)
     assert result.status == "skip"
     assert result.counterexamples == []
