@@ -5,12 +5,14 @@
 children's.  Every other node grows its slice bottom up from order n-1 (exact,
 as every node denotes a downward-closed class); the basis comes from the same
 growth.  Slices are memoized by canonical rendering and order in a plain dict.
+
+A slice holds its members as byte strings, so none is built past order 255;
+only this module reads them.  `in`, iteration and `len` speak `Permutation`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import attrgetter
+from itertools import chain, repeat
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import exprs, structure
@@ -40,28 +42,37 @@ DEFAULT_CONFIG = Config()
 MAX_CANDIDATES = 3_000_000
 MAX_PAIRS = 1_000_000_000
 
+# Largest order a slice holds: its members are byte strings of their values.
+MAX_SLICE_ORDER = 255
+
 
 def _check_work(n: int, count: int, limit: int, unit: str) -> None:
     if count > limit:
         raise ResourceLimitError(f"order {n} needs {count} {unit}, over the limit {limit}")
 
 
+def _perm(values: bytes) -> Permutation:
+    """The edge of a slice: a member's byte string as a Permutation."""
+    return Permutation._trusted(tuple(values))
+
+
 @dataclass(frozen=True)
 class ClassSlice:
-    """All members of a class at one order, with deterministic iteration."""
+    """All members of a class at one order, held as byte strings of their values.
 
-    expr: ClassExpr
+    Iteration is in byte order, which on one length is lexicographic order."""
+
     order: int
-    members: frozenset[Permutation]
+    members: frozenset[bytes]
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self.members
+        return len(p) == self.order and bytes(p.values) in self.members
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __iter__(self) -> Iterator[Permutation]:
-        return iter(sorted(self.members, key=attrgetter("values")))
+        return map(_perm, sorted(self.members))
 
 
 class SliceCache:
@@ -131,15 +142,22 @@ def class_slice(
         raise ValueError("order must be nonnegative")
     if n > config.max_order:
         raise ResourceLimitError(f"enumeration at order {n} exceeds cap {config.max_order}")
+    if n > MAX_SLICE_ORDER:
+        raise ResourceLimitError(f"slice at order {n} exceeds the limit {MAX_SLICE_ORDER}")
     store = cache if cache is not None else _GLOBAL_CACHE
     key = (canonical_render(expr), n)
     build = _RULES[type(expr)].slice or _grow
     return store.get_or_compute(
-        key, lambda: ClassSlice(expr, n, frozenset(build(expr, n, config, store)))
+        key, lambda: ClassSlice(n, frozenset(build(expr, n, config, store)))
     )
 
 
-def _extensions(prev: set[tuple[int, ...]], n: int) -> Iterator[tuple[int, ...]]:
+# _SHIFT[j] maps every value v >= j to v + 1; growth shifts orders below 255 only.
+_BYTES = bytes(range(256))
+_SHIFT = [_BYTES[:j] + _BYTES[j + 1 :] + b"\xff" for j in range(256)]
+
+
+def _extensions(prev: AbstractSet[bytes], n: int) -> Iterator[bytes]:
     """The order-n permutations whose last-entry and largest-entry deletions lie in prev.
 
     Each member of prev gets a new last entry j in each of the n ways; for j < n
@@ -149,27 +167,25 @@ def _extensions(prev: set[tuple[int, ...]], n: int) -> Iterator[tuple[int, ...]]
     for vals in prev:
         top = vals.index(n - 1) if vals else 0
         for j in range(1, n + 1):
-            cand = tuple([v + 1 if v >= j else v for v in vals]) + (j,)
+            cand = vals.translate(_SHIFT[j]) + bytes((j,))
             if j == n or cand[:top] + cand[top + 1 :] in prev:
                 yield cand
 
 
-def _grow(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> set[Permutation]:
+def _grow(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> Iterator[bytes]:
     """The extensions of the order-(n-1) slice that `member` accepts.
 
     Missing lower orders are built first, bottom up, each through class_slice,
     so every build finds the order below it cached: no recursion in n.
     """
     if n == 0:
-        return {EMPTY} if member(expr, EMPTY, config, cache) else set()
+        return {b""} if member(expr, EMPTY, config, cache) else set()
     key, low = canonical_render(expr), n - 1
     while low > 0 and (key, low - 1) not in cache:
         low -= 1
     for m in range(low, n):
         below = class_slice(expr, m, config, cache)
-    prev = {p.values for p in below.members}
-    candidates = map(Permutation._trusted, _extensions(prev, n))
-    return {p for p in candidates if member(expr, p, config, cache)}
+    return (c for c in _extensions(below.members, n) if member(expr, _perm(c), config, cache))
 
 
 def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) -> set[Permutation]:
@@ -186,24 +202,13 @@ def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) 
         _check_work(max_len, len(top) * max_len, MAX_CANDIDATES, "growth candidates")
     basis = set() if member(expr, EMPTY, config) else {EMPTY}
     for n in range(1, max_len + 1):
-        prev = {p.values for p in class_slice(expr, n - 1, config).members}
+        prev = class_slice(expr, n - 1, config).members
         for vals in _extensions(prev, n):
-            if all(pattern_of(vals[:i] + vals[i + 1 :]).values in prev for i in range(n)):
-                p = Permutation._trusted(vals)
+            if all(bytes(pattern_of(vals[:i] + vals[i + 1 :]).values) in prev for i in range(n)):
+                p = _perm(vals)
                 if not member(expr, p, config):
                     basis.add(p)
     return basis
-
-
-# Largest order a product build handles: it holds permutations as byte strings.
-MAX_PRODUCT_ORDER = 255
-
-
-def _check_product_order(n: int) -> None:
-    if n > MAX_PRODUCT_ORDER:
-        raise ResourceLimitError(
-            f"composition at order {n} exceeds the product build's limit {MAX_PRODUCT_ORDER}"
-        )
 
 
 def _product_batches(
@@ -215,52 +220,44 @@ def _product_batches(
     The other factors' partial product is built first, right to left, from
     these same batches.  A batch maps every accumulated b to a o b through a
     256-byte table with table[v] = a(v), so the loop over pairs runs inside
-    bytes.translate; callers check n against MAX_PRODUCT_ORDER first.
+    bytes.translate.
     """
     first, *others = factors
     if not others:
-        yield [bytes(p.values) for p in class_slice(first, n, config, cache).members]
+        yield class_slice(first, n, config, cache).members
         return
     acc: set[bytes] = set()
     for batch in _product_batches(others, n, config, cache):
         acc.update(batch)
     left = class_slice(first, n, config, cache).members
     _check_work(n, len(left) * len(acc), MAX_PAIRS, "product pairs")
-    pad = bytes(MAX_PRODUCT_ORDER - n)
+    pad = bytes(MAX_SLICE_ORDER - n)
     for a in left:
-        yield map(bytes.translate, acc, repeat(bytes((0, *a.values)) + pad))
+        yield map(bytes.translate, acc, repeat(b"\0" + a + pad))
 
 
-def _compose_slice(expr: Comp, n: int, config: Config, cache: SliceCache) -> set[Permutation]:
-    _check_product_order(n)
-    products: set[bytes] = set()
-    for batch in _product_batches(expr.children, n, config, cache):
-        products.update(batch)
-    return {Permutation._trusted(tuple(b)) for b in products}
+def _compose_slice(expr: Comp, n: int, config: Config, cache: SliceCache) -> Iterable[bytes]:
+    return chain.from_iterable(_product_batches(expr.children, n, config, cache))
 
 
 def first_non_product(
-    expr: Comp,
-    members: AbstractSet[Permutation],
-    n: int,
-    config: Config = DEFAULT_CONFIG,
+    expr: Comp, lhs: ClassSlice, config: Config = DEFAULT_CONFIG
 ) -> Optional[Permutation]:
-    """The lexicographically first of the order-n members that is not in the
+    """The lexicographically first member of the slice lhs that is not in the
     product class expr, or None.
 
-    Each batch of products is struck from the members, as byte strings, and
-    the scan stops once none is left.  The product slice is never built: the
-    memory is the members and the partial product of all factors but the first.
+    Each batch of products is struck from a copy of the members, and the scan
+    stops once none is left.  The product slice is never built: the memory is
+    the members and the partial product of all factors but the first.
     """
-    if not members:
+    if not lhs:
         return None
-    _check_product_order(n)
-    rest = {bytes(p.values) for p in members}
-    for batch in _product_batches(expr.children, n, config, _GLOBAL_CACHE):
+    rest = set(lhs.members)
+    for batch in _product_batches(expr.children, lhs.order, config, _GLOBAL_CACHE):
         rest.difference_update(batch)
         if not rest:
             return None
-    return Permutation._trusted(tuple(min(rest)))
+    return _perm(min(rest))
 
 
 def count(expr: ClassExpr, n_max: int, config: Config = DEFAULT_CONFIG) -> list[int]:
@@ -279,14 +276,16 @@ class _Rule(NamedTuple):
     (None: grown from order n-1).  Both recurse through the module-level names."""
 
     member: Callable[..., bool]
-    slice: Optional[Callable[..., Iterable[Permutation]]] = None
+    slice: Optional[Callable[..., Iterable[bytes]]] = None
 
 
 def _mapped(f: Callable[[Permutation], Permutation]) -> _Rule:
     """rev/cpl/inv: the image of the child class under the involution f."""
     return _Rule(
         lambda e, p, config, cache: member(e.child, f(p), config, cache),
-        lambda e, n, config, cache: {f(q) for q in class_slice(e.child, n, config, cache).members},
+        lambda e, n, config, cache: {
+            bytes(f(_perm(b)).values) for b in class_slice(e.child, n, config, cache).members
+        },
     )
 
 

@@ -86,9 +86,9 @@ def _env_cap() -> Optional[int]:
     if env is None:
         return None
     try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"PERMCLASS_MAX_N must be an integer, got {env!r}") from None
+        return _order(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise _UsageError(f"PERMCLASS_MAX_N must be an integer >= 0, got {_excerpt(env, 0)}") from None
 
 
 def _global_cap(args) -> Optional[int]:

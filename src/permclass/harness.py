@@ -11,8 +11,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from . import factor, structure
 from .algebra import (
@@ -170,12 +169,11 @@ def check_inclusion(
     first failure."""
 
     def verdict(n: int) -> Verdict:
-        members = class_slice(lhs, n, config).members
+        lhs_slice = class_slice(lhs, n, config)
         if isinstance(rhs, Comp):
-            w = first_non_product(rhs, members, n, config)
+            w = first_non_product(rhs, lhs_slice, config)
         else:
-            ordered = sorted(members, key=attrgetter("values"))
-            w = next((p for p in ordered if not member(rhs, p, config)), None)
+            w = next((p for p in lhs_slice if not member(rhs, p, config)), None)
         if w is None:
             return Verdict("holds")
         if member_independent(rhs, w, config):
@@ -187,7 +185,7 @@ def check_inclusion(
 
 def _compare(
     lhs: ClassExpr,
-    lhs_members: Callable[[int], AbstractSet[Permutation]],
+    lhs_members: Callable[[int], Iterable[Permutation]],
     rhs: ClassExpr,
     n_range: Iterable[int],
     config: Config,
@@ -196,7 +194,7 @@ def _compare(
     is the lexicographically smallest element of the symmetric difference."""
 
     def verdict(n: int) -> Verdict:
-        diff = lhs_members(n) ^ class_slice(rhs, n, config).members
+        diff = set(lhs_members(n)).symmetric_difference(class_slice(rhs, n, config))
         return Verdict("fails", witness=min(diff)) if diff else Verdict("holds")
 
     return _per_order(InclusionReport(lhs, rhs), n_range, verdict)
@@ -210,13 +208,13 @@ def check_equality(
 ) -> InclusionReport:
     """Slice-level set equality per order; the witness is the lexicographically
     smallest element of the symmetric difference."""
-    return _compare(a, lambda n: class_slice(a, n, config).members, b, n_range, config)
+    return _compare(a, lambda n: class_slice(a, n, config), b, n_range, config)
 
 
-def _product_escape(members: AbstractSet[Permutation]) -> Optional[Permutation]:
-    """The first product p o q of members, in lexicographic order of (p, q),
-    that is not itself a member."""
-    ordered = sorted(members, key=attrgetter("values"))
+def _product_escape(members: Collection[Permutation]) -> Optional[Permutation]:
+    """The first product p o q of members (a slice, so iterated in lexicographic
+    order), in lexicographic order of (p, q), that is not itself a member."""
+    ordered = list(members)
     products = itertools.starmap(compose, itertools.product(ordered, ordered))
     return next((r for r in products if r not in members), None)
 
@@ -228,11 +226,10 @@ def check_group_closure(
     composition; the first failing pair in lexicographic order is reported."""
 
     def verdict(n: int) -> Verdict:
-        members = class_slice(expr, n, config).members
+        members = class_slice(expr, n, config)
         if identity(n) not in members:
             return Verdict("fails", witness=identity(n), reason="missing identity")
-        ordered = sorted(members, key=attrgetter("values"))
-        bad_inv = next((p for p in ordered if inverse(p) not in members), None)
+        bad_inv = next((p for p in members if inverse(p) not in members), None)
         if bad_inv is not None:
             return Verdict("fails", witness=bad_inv, reason="inverse escapes")
         escape = _product_escape(members)
@@ -279,7 +276,7 @@ def behaviour_closure(a_expr: ClassExpr, k: int, variant: str, n: int, config: C
     if variant not in ("V", "H", "I"):
         raise ValueError(f"unknown variant {variant!r}")
     out: set[Permutation] = set()
-    for alpha in class_slice(a_expr, n, config).members:
+    for alpha in class_slice(a_expr, n, config):
         vals = alpha.values
         if variant == "H":
             for comp in structure._compositions(n, k):
@@ -504,7 +501,7 @@ def _lemma_l2_group(cap: int, config: Config) -> Iterator[str]:
     for n, v in closed.results.items():
         if v.status == "fails":
             yield f"order {n}: {to_text(v.witness)} ({v.reason})"
-    if _product_escape(class_slice(LayeredK(2), 3, config).members) is None:
+    if _product_escape(class_slice(LayeredK(2), 3, config)) is None:
         yield "two-layer class unexpectedly closed under products at order 3"
 
 

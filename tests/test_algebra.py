@@ -30,7 +30,9 @@ from permclass.exprs import (
     parse_class,
     render,
 )
-from permclass.perms import Permutation, all_perms, decreasing, from_text, lds, lis, pattern_of
+from permclass.perms import (
+    Permutation, all_perms, decreasing, from_text, identity, lds, lis, pattern_of,
+)
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429]
 
@@ -102,8 +104,8 @@ def test_comp_slice_matches_brute_product():
     for text in cases:
         expr = parse_class(text)
         for n in range(0, 7):
-            slices = [class_slice(c, n, cache=cache).members for c in expr.children]
-            assert class_slice(expr, n, cache=cache).members == brute_product(slices), (text, n)
+            slices = [class_slice(c, n, cache=cache) for c in expr.children]
+            assert set(class_slice(expr, n, cache=cache)) == brute_product(slices), (text, n)
 
 
 def test_product_order_limit():
@@ -115,20 +117,41 @@ def test_product_order_limit():
         class_slice(parse_class("comp(Ik(0),Ik(0))"), 256, config, SliceCache())
 
 
+def test_slice_order_limit():
+    # Every slice holds byte strings: past order 255 none is built, whatever its node type.
+    config = Config(max_order=256)
+    with pytest.raises(ResourceLimitError, match="^slice at order 256 exceeds the limit 255$"):
+        class_slice(parse_class("I"), 256, config, SliceCache())
+    assert set(class_slice(parse_class("I"), 255, config, SliceCache())) == {identity(255)}
+
+
+def test_slice_membership_of_another_order_is_false():
+    small = class_slice(parse_class("All"), 3)
+    for p in (from_text("e"), from_text("21"), from_text("1234"), identity(300)):
+        assert (p in small) is False
+    assert from_text("213") in small
+
+
+def test_slice_iterates_in_lexicographic_order_past_one_digit():
+    members = list(class_slice(parse_class("Vk(2)"), 10))
+    assert len(members) == 1014
+    assert members == sorted(members, key=lambda p: p.values)
+
+
 def test_high_order_growth_on_a_fresh_cache_does_not_recurse():
     # Growth builds the missing lower orders bottom up, so the stack depth
-    # does not grow with the order.
-    config = Config(max_order=256)
-    assert len(class_slice(parse_class("Ik(0)"), 256, config, SliceCache())) == 0
+    # does not grow with the order.  Order 255, the largest a slice holds, is
+    # past the interpreter's default recursion limit for a recursive build.
+    config = Config(max_order=255)
+    assert len(class_slice(parse_class("Ik(0)"), 255, config, SliceCache())) == 0
     got = class_slice(parse_class("comp(I,D)"), 255, config, SliceCache())
     assert set(got) == {decreasing(255)}
 
 
 def test_and_or_rev_cpl_inv_slices():
     both = parse_class("and(Ik(2),Dk(2))")
-    assert class_slice(both, 3).members == (
-        class_slice(parse_class("Ik(2)"), 3).members
-        & class_slice(parse_class("Dk(2)"), 3).members
+    assert set(class_slice(both, 3)) == (
+        set(class_slice(parse_class("Ik(2)"), 3)) & set(class_slice(parse_class("Dk(2)"), 3))
     )
     either = parse_class("or(I,D)")
     assert members_text("or(I,D)", 3) == ["123", "321"]
@@ -178,7 +201,7 @@ def test_member_matches_slice_exhaustively():
     for text in EVERY_NODE_TYPE:
         expr = parse_class(text)
         for n in range(0, 7):
-            slice_members = class_slice(expr, n, cache=cache).members
+            slice_members = set(class_slice(expr, n, cache=cache))
             filtered = {p for p in all_perms(n) if member(expr, p, cache=cache)}
             assert slice_members == filtered, (text, n)
 
@@ -220,11 +243,10 @@ def test_member_independent_agrees_on_compositions():
 def test_member_independent_ignores_global_cache_in_splits():
     # Plant empty comp(I,I) slices in the process-wide cache: member then
     # rejects 123 in each class below, while the cache-free path does not.
-    comp = parse_class("comp(I,I)")
     slice_cache().clear()
     try:
         for n in (1, 2, 3):
-            slice_cache().get_or_compute(("comp(I,I)", n), lambda: ClassSlice(comp, n, frozenset()))
+            slice_cache().get_or_compute(("comp(I,I)", n), lambda: ClassSlice(n, frozenset()))
         for text in ("V(comp(I,I))", "H(comp(I,I))", "merge(comp(I,I),D)"):
             expr = parse_class(text)
             assert member(expr, from_text("123")) is False, text

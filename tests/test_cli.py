@@ -207,6 +207,18 @@ def test_env_cap_applies_to_enumeration(capsys, monkeypatch):
     assert run(capsys, "enumerate", "--class", "All", "-n", "2")[0] == 2
     code, _, err = run(capsys, "suite", "--names", "count-L2")
     assert code == 2 and "PERMCLASS_MAX_N" in err
+    monkeypatch.setenv("PERMCLASS_MAX_N", "x" * 3000)
+    code, _, err = run(capsys, "count", "--class", "I", "--max-n", "3")
+    assert code == 2 and "PERMCLASS_MAX_N" in err and len(err.encode()) < 500
+
+
+def test_negative_env_cap_is_a_usage_error(capsys, monkeypatch):
+    # Like a negative --max-n: not a cap below every order, a usage error.
+    monkeypatch.setenv("PERMCLASS_MAX_N", "-1")
+    code, out, err = run(capsys, "--format", "json", "suite", "--names", "lemma-kl")
+    assert (code, out) == (2, "") and "PERMCLASS_MAX_N" in err
+    code, out, err = run(capsys, "count", "--class", "I", "--max-n", "3")
+    assert (code, out) == (2, "") and "PERMCLASS_MAX_N" in err
 
 
 @pytest.mark.parametrize(
