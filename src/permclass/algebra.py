@@ -12,7 +12,7 @@ only this module reads them.  `in`, iteration and `len` speak `Permutation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat, tee
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import exprs, structure
@@ -51,9 +51,9 @@ def _check_work(n: int, count: int, limit: int, unit: str) -> None:
         raise ResourceLimitError(f"order {n} needs {count} {unit}, over the limit {limit}")
 
 
-def _perm(values: bytes) -> Permutation:
-    """The edge of a slice: a member's byte string as a Permutation."""
-    return Permutation._trusted(tuple(values))
+def _perms(members: Iterable[bytes]) -> Iterator[Permutation]:
+    """The edge of a slice: members' byte strings as Permutations, lazily."""
+    return map(Permutation._trusted, map(tuple, members))
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class ClassSlice:
         return len(self.members)
 
     def __iter__(self) -> Iterator[Permutation]:
-        return map(_perm, sorted(self.members))
+        return _perms(sorted(self.members))
 
 
 class SliceCache:
@@ -185,7 +185,8 @@ def _grow(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> Iterato
         low -= 1
     for m in range(low, n):
         below = class_slice(expr, m, config, cache)
-    return (c for c in _extensions(below.members, n) if member(expr, _perm(c), config, cache))
+    candidates, probes = tee(_extensions(below.members, n))
+    return compress(candidates, (member(expr, p, config, cache) for p in _perms(probes)))
 
 
 def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) -> set[Permutation]:
@@ -203,11 +204,12 @@ def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) 
     basis = set() if member(expr, EMPTY, config) else {EMPTY}
     for n in range(1, max_len + 1):
         prev = class_slice(expr, n - 1, config).members
-        for vals in _extensions(prev, n):
-            if all(bytes(pattern_of(vals[:i] + vals[i + 1 :]).values) in prev for i in range(n)):
-                p = _perm(vals)
-                if not member(expr, p, config):
-                    basis.add(p)
+        minimal = (
+            vals
+            for vals in _extensions(prev, n)
+            if all(bytes(pattern_of(vals[:i] + vals[i + 1 :]).values) in prev for i in range(n))
+        )
+        basis.update(p for p in _perms(minimal) if not member(expr, p, config))
     return basis
 
 
@@ -257,7 +259,7 @@ def first_non_product(
         rest.difference_update(batch)
         if not rest:
             return None
-    return _perm(min(rest))
+    return next(_perms([min(rest)]))
 
 
 def count(expr: ClassExpr, n_max: int, config: Config = DEFAULT_CONFIG) -> list[int]:
@@ -284,7 +286,7 @@ def _mapped(f: Callable[[Permutation], Permutation]) -> _Rule:
     return _Rule(
         lambda e, p, config, cache: member(e.child, f(p), config, cache),
         lambda e, n, config, cache: {
-            bytes(f(_perm(b)).values) for b in class_slice(e.child, n, config, cache).members
+            bytes(f(p).values) for p in _perms(class_slice(e.child, n, config, cache).members)
         },
     )
 

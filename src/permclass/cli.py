@@ -9,10 +9,11 @@ equal inputs).  Exit codes: 0 success/holds, 1 a check failed (witness printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import factor, harness
 from .algebra import (
@@ -57,12 +58,12 @@ def _parse_perm(text: str) -> Permutation:
 _ECHO_LIMIT = 80
 
 
-def _excerpt(text: str, pos: int) -> str:
+def _excerpt(text: str, pos: int, show: Callable[[str], str] = repr) -> str:
     if len(text) <= _ECHO_LIMIT:
-        return repr(text)
+        return show(text)
     start = min(max(0, pos - _ECHO_LIMIT // 2), len(text) - _ECHO_LIMIT)
     end = start + _ECHO_LIMIT
-    return ("..." if start else "") + repr(text[start:end]) + ("..." if end < len(text) else "")
+    return ("..." if start else "") + show(text[start:end]) + ("..." if end < len(text) else "")
 
 
 def _parse_expr(text: str):
@@ -219,7 +220,8 @@ def _cmd_suite(args) -> int:
     try:
         results = harness.run_suite(names, n_cap=_global_cap(args), config=_config(args))
     except harness.UnknownCheckError as exc:
-        raise _UsageError(str(exc)) from None
+        # A KeyError's str() quotes its message; show it plain, but bounded.
+        raise _UsageError(_excerpt(exc.args[0], 0, str)) from None
     if args.format == "json":
         _emit({"results": [r.to_json() for r in results]}, args)
     else:
@@ -234,7 +236,13 @@ def _cmd_suite(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    parse_args keeps no state between calls: each returns a fresh Namespace,
+    and help and errors read sys.stderr and COLUMNS when they print.
+    """
     parser = argparse.ArgumentParser(
         prog="permclass",
         description="Exact computations in the composition algebra of permutation classes.",
@@ -291,9 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_dispatch(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

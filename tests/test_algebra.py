@@ -138,6 +138,14 @@ def test_slice_iterates_in_lexicographic_order_past_one_digit():
     assert members == sorted(members, key=lambda p: p.values)
 
 
+def test_slice_iteration_matches_wrapping_each_sorted_member():
+    # Iteration wraps the sorted byte strings in one pass; each member must
+    # equal a validated Permutation of the same values, in the same order.
+    for text, n in (("Av(321)", 8), ("Vk(2)", 10), ("comp(Ik(2),Ik(2))", 6)):
+        got = class_slice(parse_class(text), n)
+        assert list(got) == [Permutation(tuple(b)) for b in sorted(got.members)], text
+
+
 def test_high_order_growth_on_a_fresh_cache_does_not_recurse():
     # Growth builds the missing lower orders bottom up, so the stack depth
     # does not grow with the order.  Order 255, the largest a slice holds, is

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from permclass.algebra import basis_up_to, class_slice, count, member, slice_cache
-from permclass.cli import cli_dispatch
+from permclass.cli import _build_parser, cli_dispatch
 from permclass.exprs import parse_class
 from permclass.factor import decompose_vk_hk
 from permclass.perms import from_text
@@ -243,3 +244,59 @@ def test_oversized_work_is_refused_before_its_loop(capsys, argv, order, count, l
 def test_merge_membership_answers_up_to_the_order_cap(capsys):
     code, out, _ = run(capsys, "member", "--class", "merge(I,D)", "--perm", "2 1 4 3 6 5 8 7 10 9")
     assert (code, out) == (0, "false\n")
+
+
+def test_unknown_suite_names_are_echoed_plain_and_bounded(capsys):
+    assert run(capsys, "suite", "--names", "nope") == (2, "", "error: unknown check name(s): nope\n")
+    for names in ("x" * 3000, ",".join(["y" * 50] * 200)):
+        code, out, err = run(capsys, "suite", "--names", names)
+        assert (code, out) == (2, "") and len(err.encode()) < 500
+        assert err.startswith("error: unknown check name(s): ")
+
+
+# The parser is built once per process; these check that no call leaves
+# state behind for the next one.
+
+
+def test_a_usage_error_leaves_the_parser_fit_for_the_next_call(capsys):
+    code, out, err = run(capsys, "member", "--class", "I")
+    assert (code, out) == (2, "") and "--perm" in err
+    assert run(capsys, "member", "--class", "Ik(2)", "--perm", "312") == (0, "true\n", "")
+
+
+def test_the_format_option_does_not_carry_over(capsys):
+    argv = ("member", "--class", "Ik(2)", "--perm", "321")
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == 0 and json.loads(out) == {"class": "Ik(2)", "member": False, "perm": [3, 2, 1]}
+    assert run(capsys, *argv) == (0, "false\n", "")
+
+
+def test_the_env_cap_does_not_carry_over(capsys, monkeypatch):
+    monkeypatch.setenv("PERMCLASS_MAX_N", "3")
+    code, out, err = run(capsys, "count", "--class", "I", "--max-n", "5")
+    assert (code, out) == (3, "") and "cap" in err
+    monkeypatch.delenv("PERMCLASS_MAX_N")
+    assert run(capsys, "count", "--class", "I", "--max-n", "5") == (
+        0, "1\t1\n2\t1\n3\t1\n4\t1\n5\t1\n", ""
+    )
+
+
+def test_help_twice_prints_the_same(capsys):
+    first = run(capsys, "--help")
+    assert first[0] == 0 and first[1].startswith("usage: permclass")
+    assert run(capsys, "--help") == first
+
+
+def test_dispatches_build_the_parser_once(capsys, monkeypatch):
+    assert _build_parser() is _build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "member", "--class", "I", "--perm", "12")[0] == 0
+    assert run(capsys, "count", "--class", "I", "--max-n", "2")[0] == 0
+    assert built == []
