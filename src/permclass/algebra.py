@@ -12,13 +12,14 @@ only this module reads them.  `in`, iteration and `len` speak `Permutation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, repeat, tee
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import exprs, structure
 from .exprs import ClassExpr, Comp, canonical_render
 from .perms import (
-    EMPTY, Permutation, complement, compose, contains, inverse, lds, lis, pattern_of, reverse,
+    EMPTY, Permutation, complement, compose, contains, inverse, lds, lis, reverse,
 )
 
 
@@ -153,8 +154,10 @@ def class_slice(
 
 
 # _SHIFT[j] maps every value v >= j to v + 1; growth shifts orders below 255 only.
+# _DOWN[v] maps every value w > v to w - 1: it renumbers a deletion of v.
 _BYTES = bytes(range(256))
 _SHIFT = [_BYTES[:j] + _BYTES[j + 1 :] + b"\xff" for j in range(256)]
+_DOWN = [_BYTES[: v + 1] + _BYTES[v:-1] for v in range(256)]
 
 
 def _extensions(prev: AbstractSet[bytes], n: int) -> Iterator[bytes]:
@@ -207,7 +210,7 @@ def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) 
         minimal = (
             vals
             for vals in _extensions(prev, n)
-            if all(bytes(pattern_of(vals[:i] + vals[i + 1 :]).values) in prev for i in range(n))
+            if all((vals[:i] + vals[i + 1 :]).translate(_DOWN[vals[i]]) in prev for i in range(n))
         )
         basis.update(p for p in _perms(minimal) if not member(expr, p, config))
     return basis
@@ -311,10 +314,15 @@ def _layered(accept: Callable[[ClassExpr, tuple[int, ...]], bool]) -> _Rule:
     return _Rule(rule)
 
 
+def _part_tests(e: ClassExpr, config: Config, cache) -> list[structure.PartTest]:
+    """V/H/merge: one membership test per child, for the split searches."""
+    return [partial(member, c, config=config, cache=cache) for c in e.children]
+
+
 def _merge_member(e: exprs.Merge, p: Permutation, config: Config, cache) -> bool:
     if len(p) > config.max_order:
         raise ResourceLimitError(f"merge membership at order {len(p)} exceeds cap {config.max_order}")
-    return structure.merge_split(p, e.children, config, cache) is not None
+    return structure.merge_split(p, _part_tests(e, config, cache)) is not None
 
 
 _RULES: dict[type, _Rule] = {
@@ -330,12 +338,10 @@ _RULES: dict[type, _Rule] = {
     exprs.HorizK: _Rule(lambda e, p, *_: _descents(inverse(p)) <= e.k - 1),
     exprs.Av: _Rule(lambda e, p, *_: all(contains(p, pat) is None for pat in e.patterns)),
     exprs.Vert: _Rule(
-        lambda e, p, config, cache: structure.vertical_split(p, e.children, config, cache)
-        is not None
+        lambda e, p, *args: structure.vertical_split(p, _part_tests(e, *args)) is not None
     ),
     exprs.Horiz: _Rule(
-        lambda e, p, config, cache: structure.horizontal_split(p, e.children, config, cache)
-        is not None
+        lambda e, p, *args: structure.horizontal_split(p, _part_tests(e, *args)) is not None
     ),
     exprs.Merge: _Rule(_merge_member),
     exprs.Comp: _Rule(lambda e, p, *args: p in class_slice(e, len(p), *args), _compose_slice),

@@ -217,6 +217,8 @@ def _cmd_include(args) -> int:
 def _cmd_suite(args) -> int:
     names = list(harness.REGISTRY) if args.names == "all" else args.names.split(",")
     names = [n.strip() for n in names if n.strip()]
+    if not names:
+        raise _UsageError("no check names given")
     try:
         results = harness.run_suite(names, n_cap=_global_cap(args), config=_config(args))
     except harness.UnknownCheckError as exc:

@@ -14,12 +14,9 @@ from .exprs import (
     And,
     Av,
     ClassExpr,
-    Dec,
     HorizK,
     IncK,
     LayeredK,
-    Rev,
-    Cpl,
     Vert,
     VertK,
     render,
@@ -35,8 +32,6 @@ from .perms import (
     greedy_increasing_chains,
     inverse,
     lds,
-    reverse,
-    complement,
     to_text,
 )
 
@@ -210,32 +205,5 @@ def decompose_thm52(
         whole = direct_sum(ab, gamma)
         left = And((vert, Av((whole,))))
     out = Factorization(p, (Factor(nu, left), Factor(eta, HorizK(2))))
-    out.verify(config)
-    return out
-
-
-def rewrite_reverse_factorization(f: Factorization, config: Config = DEFAULT_CONFIG) -> Factorization:
-    """Turn a k-factor factorization of p into a (2k-1)-factor one of reverse(p),
-    alternating reversed factors with decreasing permutations."""
-    return _rewrite_symmetry(f, reverse, Rev, append_delta=True, config=config)
-
-
-def rewrite_complement_factorization(f: Factorization, config: Config = DEFAULT_CONFIG) -> Factorization:
-    """Dual of rewrite_reverse_factorization for the complement symmetry."""
-    return _rewrite_symmetry(f, complement, Cpl, append_delta=False, config=config)
-
-
-def _rewrite_symmetry(f, perm_op, expr_op, append_delta: bool, config: Config) -> Factorization:
-    n = len(f.target)
-    delta = decreasing(n)
-    factors: list[Factor] = []
-    for i, fac in enumerate(f.factors):
-        if i:
-            factors.append(Factor(delta, Dec()))
-        if append_delta:
-            factors.append(Factor(compose(fac.perm, delta), expr_op(fac.cls)))
-        else:
-            factors.append(Factor(compose(delta, fac.perm), expr_op(fac.cls)))
-    out = Factorization(perm_op(f.target), tuple(factors))
     out.verify(config)
     return out

@@ -429,7 +429,7 @@ def _fact_basic_equiv(cap: int, config: Config) -> Iterator[str]:
                 if not (by_avoid == by_lds == by_color):
                     yield f"k={k} {to_text(p)}: avoid={by_avoid} lds={by_lds} coloring={by_color}"
                 if n <= 6 and by_color != (
-                    structure.merge_split(p, [Inc()] * k) is not None
+                    structure.merge_split(p, [functools.partial(member, Inc())] * k) is not None
                 ):
                     yield f"k={k} {to_text(p)}: coloring search disagrees with merge split"
 
@@ -576,7 +576,7 @@ def _thm_l_gamma_far(cap: Optional[int], config: Config) -> Iterator[str]:
 
 
 def _prop_vh_blockbound(cap: int, config: Config) -> Iterator[str]:
-    eta = structure._alternating(5)
+    eta = from_text("14253")
     for n in range(1, cap + 1):
         for p in class_slice(HorizK(2), n, config):
             if contains(p, eta) is None and structure.min_blocks(p)[0] > 6:

@@ -142,11 +142,6 @@ def direct_sum(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(p.values + tuple(v + k for v in q.values))
 
 
-def skew_sum(p: Permutation, q: Permutation) -> Permutation:
-    l = len(q)
-    return Permutation(tuple(v + l for v in p.values) + q.values)
-
-
 def direct_sum_all(parts: Iterable[Permutation]) -> Permutation:
     out = EMPTY
     for part in parts:
@@ -202,10 +197,6 @@ def contains(host: Permutation, pattern: Permutation) -> Optional[Occurrence]:
     if extend(0, 0):
         return Occurrence(tuple(j + 1 for j in chosen))
     return None
-
-
-def avoids(host: Permutation, pattern: Permutation) -> bool:
-    return contains(host, pattern) is None
 
 
 def greedy_increasing_chains(p: Permutation) -> list[list[int]]:

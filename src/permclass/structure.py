@@ -1,27 +1,29 @@
-"""Structural decompositions and searches: layers, blocks, colorings, splits.
+"""Structural decompositions and searches on permutations: layers, blocks,
+colorings, splits.
 
-Every search returns its lexicographically first witness (colorings by
-backtracking, V/H splits by one greedy pass), so outputs are reproducible.
+The merge, vertical and horizontal split searches take one membership test
+per part, a `Permutation -> bool` callable that must be downward closed; the
+module knows nothing of class expressions.  Every search returns its
+lexicographically first witness (colorings by backtracking, V/H splits by one
+greedy pass), so outputs are reproducible.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .exprs import ClassExpr, Inc
 from .perms import (
     EMPTY,
     Permutation,
-    complement,
     contains,
-    direct_sum_all,
     decreasing,
+    direct_sum,
+    direct_sum_all,
     pattern_of,
 )
 
-if TYPE_CHECKING:
-    from .algebra import Config, SliceCache
+# A membership test for one part of a split; it must be downward closed.
+PartTest = Callable[[Permutation], bool]
 
 
 class NotLayeredError(ValueError):
@@ -42,12 +44,6 @@ class LayerShape:
         if any(l < 1 for l in self.lengths):
             raise ValueError("layer lengths must be positive")
 
-    def realize(self) -> Permutation:
-        return direct_sum_all(decreasing(l) for l in self.lengths)
-
-    def to_json(self) -> list[int]:
-        return list(self.lengths)
-
 
 @dataclass(frozen=True)
 class Block:
@@ -57,16 +53,10 @@ class Block:
     length: int
     direction: str
 
-    def to_json(self) -> dict:
-        return {"start": self.start, "len": self.length, "dir": self.direction}
-
 
 @dataclass(frozen=True)
 class BlockDecomposition:
     blocks: tuple[Block, ...]
-
-    def to_json(self) -> list[dict]:
-        return [b.to_json() for b in self.blocks]
 
 
 @dataclass(frozen=True)
@@ -74,9 +64,6 @@ class Coloring:
     """Per-position part assignment (1-based part indices)."""
 
     assignment: tuple[int, ...]
-
-    def part_positions(self, part: int) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.assignment, start=1) if c == part)
 
 
 def layers(p: Permutation) -> Optional[LayerShape]:
@@ -97,11 +84,6 @@ def layers(p: Permutation) -> Optional[LayerShape]:
         base += size
         i += size
     return LayerShape(tuple(lengths))
-
-
-def colayers(p: Permutation) -> Optional[LayerShape]:
-    """Layer shape of the complement; present exactly when p is co-layered."""
-    return layers(complement(p))
 
 
 def _is_block(vals: tuple[int, ...], i: int, j: int) -> bool:
@@ -173,32 +155,18 @@ def is_close(a: Permutation, b: Permutation, c: int, l: int) -> bool:
     return exceptions <= l
 
 
-def _member_predicates(
-    constraints: Sequence[ClassExpr],
-    config: Optional[Config] = None,
-    cache: Optional[SliceCache] = None,
-) -> list[Callable[[Permutation], bool]]:
-    """One membership test per constraint; None means DEFAULT_CONFIG, the global cache."""
-    from .algebra import DEFAULT_CONFIG, member
-
-    config = DEFAULT_CONFIG if config is None else config
-    return [lambda q, c=c: member(c, q, config, cache) for c in constraints]
-
-
-def coloring_search(
-    p: Permutation, predicates: Sequence[Callable[[Permutation], bool]]
-) -> Optional[Coloring]:
-    """First k-coloring (lexicographic in the assignment) whose parts all satisfy
-    their predicate.  Predicates must be downward closed, which lets partial
-    parts be tested for pruning."""
-    k = len(predicates)
+def merge_split(p: Permutation, tests: Sequence[PartTest]) -> Optional[Coloring]:
+    """First k-coloring of p (lexicographic in the assignment) whose parts all
+    pass their test, the witness for membership in a merge; or None.  Tests
+    must be downward closed, which lets partial parts be tested for pruning."""
+    k = len(tests)
     n = len(p)
     vals = p.values
     parts: list[list[int]] = [[] for _ in range(k)]
     assignment: list[int] = []
 
     def ok(part: int) -> bool:
-        return predicates[part](pattern_of(parts[part]))
+        return tests[part](pattern_of(parts[part]))
 
     def extend(i: int) -> bool:
         if i == n:
@@ -213,22 +181,12 @@ def coloring_search(
             parts[part].pop()
         return False
 
-    if not all(pred(EMPTY) for pred in predicates):
-        # An empty part must be admissible for every constraint class.
+    if not all(test(EMPTY) for test in tests):
+        # A downward-closed test that rejects the empty part rejects every part.
         return None
     if extend(0):
         return Coloring(tuple(assignment))
     return None
-
-
-def merge_split(
-    p: Permutation,
-    constraints: Sequence[ClassExpr],
-    config: Optional[Config] = None,
-    cache: Optional[SliceCache] = None,
-) -> Optional[Coloring]:
-    """Witness coloring for membership of p in the merge of the constraint classes."""
-    return coloring_search(p, _member_predicates(constraints, config, cache))
 
 
 def _compositions(total: int, parts: int):
@@ -242,50 +200,38 @@ def _compositions(total: int, parts: int):
 
 
 def _greedy_cuts(
-    n: int, preds: Sequence[Callable[[Permutation], bool]], piece: Callable[[int, int], Permutation]
+    n: int, tests: Sequence[PartTest], piece: Callable[[int, int], Permutation]
 ) -> Optional[tuple[int, ...]]:
     """The lexicographically first cuts 0 <= c_1 <= ... <= c_{k-1} <= n with each
-    piece(c_{i-1}, c_i) accepted by preds[i] (c_0 = 0, c_k = n), or None, with
+    piece(c_{i-1}, c_i) passing tests[i] (c_0 = 0, c_k = n), or None, with
     O(n + k) calls.  Parts are taken from the right, each as large as possible:
-    the predicates are downward closed, so by induction every greedy cut is at
-    most the same cut of any valid vector."""
+    the tests are downward closed, so by induction every greedy cut is at most
+    the same cut of any valid vector."""
     end = n
     starts = []
-    for pred in reversed(preds):
+    for test in reversed(tests):
         start = end
-        while start > 0 and pred(piece(start - 1, end)):
+        while start > 0 and test(piece(start - 1, end)):
             start -= 1
-        if start == end and not pred(EMPTY):
+        if start == end and not test(EMPTY):
             return None
         starts.append(start)
         end = start
     return None if end else tuple(reversed(starts[:-1]))
 
 
-def vertical_split(
-    p: Permutation,
-    constraints: Sequence[ClassExpr],
-    config: Optional[Config] = None,
-    cache: Optional[SliceCache] = None,
-) -> Optional[tuple[int, ...]]:
-    """Cut positions splitting p into consecutive segments lying in the constraint
-    classes, or None.  Returns the k-1 positions after which cuts fall, the
+def vertical_split(p: Permutation, tests: Sequence[PartTest]) -> Optional[tuple[int, ...]]:
+    """Cut positions splitting p into consecutive segments passing their tests,
+    or None.  Returns the k-1 positions after which cuts fall, the
     lexicographically first such tuple."""
-    preds = _member_predicates(constraints, config, cache)
-    return _greedy_cuts(len(p), preds, lambda lo, hi: pattern_of(p.values[lo:hi]))
+    return _greedy_cuts(len(p), tests, lambda lo, hi: pattern_of(p.values[lo:hi]))
 
 
-def horizontal_split(
-    p: Permutation,
-    constraints: Sequence[ClassExpr],
-    config: Optional[Config] = None,
-    cache: Optional[SliceCache] = None,
-) -> Optional[tuple[int, ...]]:
-    """Value thresholds splitting p into stacked consecutive-value parts lying in
-    the constraint classes, or None.  Returns the k-1 cut values, the
-    lexicographically first such tuple."""
-    preds = _member_predicates(constraints, config, cache)
-    return _greedy_cuts(len(p), preds, lambda lo, hi: pattern_of([v for v in p if lo < v <= hi]))
+def horizontal_split(p: Permutation, tests: Sequence[PartTest]) -> Optional[tuple[int, ...]]:
+    """Value thresholds splitting p into stacked consecutive-value parts passing
+    their tests, or None.  Returns the k-1 cut values, the lexicographically
+    first such tuple."""
+    return _greedy_cuts(len(p), tests, lambda lo, hi: pattern_of([v for v in p if lo < v <= hi]))
 
 
 def jv_split(
@@ -298,8 +244,6 @@ def jv_split(
     is then guaranteed, so exhausting the search raises SplitContractError.
     Colorings are searched lexicographically with 'a' tried before 'c'.
     """
-    from .perms import direct_sum
-
     whole = direct_sum(direct_sum(alpha, beta), gamma)
     if contains(p, whole) is not None:
         raise ValueError(f"{p} contains {whole}; precondition violated")
@@ -329,60 +273,3 @@ def jv_split(
     if not extend(0):
         raise SplitContractError(f"no witness split for {p}; the guarantee failed")
     return tuple(a_part), tuple(c_part)
-
-
-def alternating_superpattern(p: Permutation) -> Permutation:
-    """An alternating member of the two-range interleaving class containing p,
-    of length at most 2|p|+1."""
-    n = len(p)
-    if n == 0:
-        return EMPTY
-    cuts = horizontal_split(p, [Inc(), Inc()])
-    if cuts is None:
-        raise ValueError(f"{p} is not an interleaving of two stacked increasing runs")
-    if _is_alternating(p):
-        return p
-    # p is determined by its word over {low, high}: its low values rise, its
-    # high values rise, and every low value is below every high one.  The
-    # candidate reads low, high, low, high, ... with the same properties, so
-    # sending the i-th letter of p's word to the i-th (low, high) pair of the
-    # candidate embeds p.
-    candidate = _alternating(2 * n + 1)
-    if contains(candidate, p) is None:
-        raise SplitContractError(f"{candidate} does not contain {p}")
-    return candidate
-
-
-def _alternating(m: int) -> Permutation:
-    """The alternating permutation 1 (t+2) 2 (t+3) ... of odd length m = 2t+1."""
-    t = m // 2
-    vals = []
-    for i in range(1, t + 1):
-        vals += [i, t + 1 + i]
-    if m % 2:
-        vals.append(t + 1)
-    return Permutation(vals)
-
-
-def _is_alternating(q: Permutation) -> bool:
-    vals = q.values
-    return all(
-        vals[i] > vals[i - 1] if i % 2 else (i == 0 or vals[i] < vals[i - 1])
-        for i in range(len(vals))
-    )
-
-
-def deletion_distance_to(
-    p: Permutation, expr: ClassExpr, max_del: int
-) -> Optional[int]:
-    """Smallest number d <= max_del of deletions taking p into the class, or None."""
-    (pred,) = _member_predicates([expr])
-    vals = p.values
-    n = len(vals)
-    for d in range(0, min(max_del, n) + 1):
-        for cut in itertools.combinations(range(n), d):
-            removed = set(cut)
-            rest = [vals[i] for i in range(n) if i not in removed]
-            if pred(pattern_of(rest)):
-                return d
-    return None

@@ -254,6 +254,11 @@ def test_unknown_suite_names_are_echoed_plain_and_bounded(capsys):
         assert err.startswith("error: unknown check name(s): ")
 
 
+def test_suite_with_no_names_is_a_usage_error(capsys):
+    for names in ("", ",", " , "):
+        assert run(capsys, "suite", "--names", names) == (2, "", "error: no check names given\n")
+
+
 # The parser is built once per process; these check that no call leaves
 # state behind for the next one.
 

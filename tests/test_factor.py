@@ -10,10 +10,8 @@ from permclass.factor import (
     decompose_l4,
     decompose_thm52,
     decompose_vk_hk,
-    rewrite_complement_factorization,
-    rewrite_reverse_factorization,
 )
-from permclass.perms import complement, from_text, reverse
+from permclass.perms import from_text
 from permclass.structure import NotLayeredError
 
 
@@ -139,22 +137,6 @@ def test_thm52_rejects_containing_permutation():
     one = from_text("1")
     with pytest.raises(ValueError):
         decompose_thm52(from_text("123"), one, 1, one)
-
-
-def test_rewrite_reverse():
-    f = decompose_vk_hk(from_text("2143"), 2)
-    g = rewrite_reverse_factorization(f)
-    assert g.target == reverse(from_text("2143"))
-    assert len(g.factors) == 2 * len(f.factors) - 1
-    assert g.recompose() == g.target
-
-
-def test_rewrite_complement():
-    f = decompose_ik_il(from_text("321"), 2, 2)
-    g = rewrite_complement_factorization(f)
-    assert g.target == complement(from_text("321"))
-    assert len(g.factors) == 3
-    assert g.recompose() == g.target
 
 
 def test_to_json_shapes():

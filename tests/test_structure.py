@@ -1,16 +1,18 @@
 import itertools
 import time
+from functools import partial
 
 import pytest
 
-from permclass.algebra import class_slice, member
-from permclass.exprs import Dec, HorizK, Inc, parse_class
+from permclass.algebra import member
+from permclass.exprs import Dec, Inc, parse_class
 from permclass.perms import (
     EMPTY,
     all_perms,
     contains,
     decreasing,
     direct_sum,
+    direct_sum_all,
     from_text,
     identity,
     pattern_of,
@@ -22,11 +24,6 @@ from permclass.structure import (
     NotLayeredError,
     SplitContractError,
     _compositions,
-    _is_alternating,
-    alternating_superpattern,
-    colayers,
-    coloring_search,
-    deletion_distance_to,
     gamma_pattern,
     horizontal_split,
     is_close,
@@ -37,6 +34,11 @@ from permclass.structure import (
     normalize_short_layers,
     vertical_split,
 )
+
+
+def member_tests(*constraints):
+    """One membership test per class expression, as the split searches take them."""
+    return [partial(member, c) for c in constraints]
 
 
 def test_layers_oracles():
@@ -52,19 +54,13 @@ def test_layers_roundtrip():
         for p in all_perms(n):
             shape = layers(p)
             if shape is not None:
-                assert shape.realize() == p
-
-
-def test_colayers():
-    # complement of a layered permutation is co-layered
-    assert colayers(from_text("3412")).lengths == (2, 2)
-    assert colayers(from_text("2143")) is None
+                assert direct_sum_all(decreasing(l) for l in shape.lengths) == p
 
 
 def test_layer_shape_validation():
     with pytest.raises(ValueError):
         LayerShape((1, 0))
-    assert LayerShape((2, 1)).to_json() == [2, 1]
+    assert LayerShape((2, 1)).lengths == (2, 1)
 
 
 def test_min_blocks_oracles():
@@ -114,12 +110,9 @@ def test_is_close():
 
 
 def test_coloring_search_oracle():
-    col = merge_split(from_text("2143"), [Inc(), Inc()])
-    assert col == Coloring((1, 2, 1, 2))
-    assert col.part_positions(1) == (1, 3)
-    assert col.part_positions(2) == (2, 4)
-    assert merge_split(from_text("321"), [Inc(), Inc()]) is None
-    assert merge_split(from_text("321"), [Inc(), Dec()]) is not None
+    assert merge_split(from_text("2143"), member_tests(Inc(), Inc())) == Coloring((1, 2, 1, 2))
+    assert merge_split(from_text("321"), member_tests(Inc(), Inc())) is None
+    assert merge_split(from_text("321"), member_tests(Inc(), Dec())) is not None
 
 
 def test_coloring_search_prunes_with_predicates():
@@ -129,18 +122,19 @@ def test_coloring_search_prunes_with_predicates():
         calls.append(q)
         return len(q) <= 1
 
-    assert coloring_search(from_text("12"), [pred]) is None
-    assert coloring_search(from_text("12"), [pred, pred]) is not None
+    assert merge_split(from_text("12"), [pred]) is None
+    assert merge_split(from_text("12"), [pred, pred]) is not None
 
 
 def test_vertical_horizontal_split_oracles():
-    assert vertical_split(from_text("2413"), [Inc(), Inc()]) == (2,)
-    assert vertical_split(from_text("321"), [Inc(), Inc()]) is None
-    assert horizontal_split(from_text("1324"), [Inc(), Inc()]) == (2,)
-    assert horizontal_split(from_text("321"), [Inc(), Inc()]) is None
+    two = member_tests(Inc(), Inc())
+    assert vertical_split(from_text("2413"), two) == (2,)
+    assert vertical_split(from_text("321"), two) is None
+    assert horizontal_split(from_text("1324"), two) == (2,)
+    assert horizontal_split(from_text("321"), two) is None
     # empty segments are allowed
-    assert vertical_split(from_text("12"), [Inc(), Inc()]) == (0,)
-    assert vertical_split(EMPTY, [Inc(), Inc()]) == (0,)
+    assert vertical_split(from_text("12"), two) == (0,)
+    assert vertical_split(EMPTY, two) == (0,)
 
 
 def _exhaustive_split(p, constraints, piece):
@@ -170,18 +164,19 @@ def test_greedy_splits_match_exhaustive_search():
     ]
     for texts in constraint_lists:
         constraints = [parse_class(t) for t in texts]
+        tests = member_tests(*constraints)
         for n in range(0, 7):
             for p in all_perms(n):
-                assert vertical_split(p, constraints) == _exhaustive_split(
+                assert vertical_split(p, tests) == _exhaustive_split(
                     p, constraints, _segment
                 ), (texts, str(p))
-                assert horizontal_split(p, constraints) == _exhaustive_split(
+                assert horizontal_split(p, tests) == _exhaustive_split(
                     p, constraints, _value_range
                 ), (texts, str(p))
 
 
 def test_split_of_long_decreasing_is_fast():
-    six = [parse_class("Av(321)")] * 6
+    six = member_tests(parse_class("Av(321)")) * 6
     start = time.perf_counter()
     assert vertical_split(decreasing(40), six) is None
     assert horizontal_split(decreasing(40), six) is None
@@ -220,23 +215,3 @@ def test_jv_split_certificate_everywhere():
                 for av in a_vals:
                     for cv in c_vals:
                         assert pos[av] < pos[cv] or av < cv
-
-
-def test_alternating_superpattern():
-    assert alternating_superpattern(from_text("1")) == from_text("1")
-    assert _is_alternating(from_text("14253"))
-    for n in range(1, 8):
-        for p in class_slice(HorizK(2), n):
-            sup = alternating_superpattern(p)
-            assert _is_alternating(sup)
-            assert len(sup) <= 2 * n + 1
-            assert contains(sup, p) is not None
-    with pytest.raises(ValueError):
-        alternating_superpattern(from_text("321"))
-
-
-def test_deletion_distance():
-    assert deletion_distance_to(from_text("321"), parse_class("Ik(2)"), 3) == 1
-    assert deletion_distance_to(from_text("123"), parse_class("I"), 2) == 0
-    assert deletion_distance_to(from_text("4321"), parse_class("I"), 2) is None
-    assert deletion_distance_to(from_text("4321"), parse_class("I"), 3) == 3
