@@ -220,7 +220,7 @@ def _cmd_suite(args) -> int:
     if not names:
         raise _UsageError("no check names given")
     try:
-        results = harness.run_suite(names, n_cap=_global_cap(args), config=_config(args))
+        results = harness.run_suite(names, n_cap=_global_cap(args))
     except harness.UnknownCheckError as exc:
         # A KeyError's str() quotes its message; show it plain, but bounded.
         raise _UsageError(_excerpt(exc.args[0], 0, str)) from None

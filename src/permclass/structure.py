@@ -1,5 +1,5 @@
-"""Structural decompositions and searches on permutations: layers, blocks,
-colorings, splits.
+"""Structural decompositions and searches on permutations: layers, block
+counts, colorings, splits.
 
 The merge, vertical and horizontal split searches take one membership test
 per part, a `Permutation -> bool` callable that must be downward closed; the
@@ -46,20 +46,6 @@ class LayerShape:
 
 
 @dataclass(frozen=True)
-class Block:
-    """A contiguous run of consecutive values; direction 'inc' or 'dec'."""
-
-    start: int  # 1-based position
-    length: int
-    direction: str
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple[Block, ...]
-
-
-@dataclass(frozen=True)
 class Coloring:
     """Per-position part assignment (1-based part indices)."""
 
@@ -86,41 +72,17 @@ def layers(p: Permutation) -> Optional[LayerShape]:
     return LayerShape(tuple(lengths))
 
 
-def _is_block(vals: tuple[int, ...], i: int, j: int) -> bool:
-    # positions i..j inclusive, 0-based
-    if j == i:
-        return True
-    step = vals[i + 1] - vals[i]
-    if step not in (1, -1):
-        return False
-    return all(vals[t + 1] - vals[t] == step for t in range(i, j))
+def min_blocks(p: Permutation) -> int:
+    """The least number of blocks (contiguous runs of consecutive values,
+    increasing or decreasing) that p concatenates from: n minus the number of
+    unit steps |p(i+1) - p(i)| = 1.
 
-
-def min_blocks(p: Permutation) -> tuple[int, BlockDecomposition]:
-    """A minimum decomposition of p into concatenated blocks, leftmost-longest first."""
+    Two unit steps in a row never change sign, as that would repeat a value,
+    so each maximal run of unit steps is a block.  No block spans any other
+    adjacent pair, so every such pair is a cut, and the maximal runs are a
+    least decomposition."""
     vals = p.values
-    n = len(vals)
-    if n == 0:
-        return 0, BlockDecomposition(())
-    INF = n + 1
-    best = [INF] * (n + 1)
-    best[n] = 0
-    for i in range(n - 1, -1, -1):
-        for j in range(i, n):
-            if _is_block(vals, i, j) and 1 + best[j + 1] < best[i]:
-                best[i] = 1 + best[j + 1]
-    blocks = []
-    i = 0
-    while i < n:
-        length = max(
-            j - i + 1
-            for j in range(i, n)
-            if _is_block(vals, i, j) and 1 + best[j + 1] == best[i]
-        )
-        direction = "dec" if length > 1 and vals[i + 1] < vals[i] else "inc"
-        blocks.append(Block(i + 1, length, direction))
-        i += length
-    return best[0], BlockDecomposition(tuple(blocks))
+    return len(vals) - sum(1 for a, b in zip(vals, vals[1:]) if abs(a - b) == 1)
 
 
 def gamma_pattern(c: int) -> Permutation:

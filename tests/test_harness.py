@@ -2,7 +2,7 @@ import json
 
 from permclass import algebra
 from permclass.algebra import Config, SliceCache, class_slice, member, slice_cache
-from permclass.exprs import IncK, LayeredK, canonical_render, parse_class, render
+from permclass.exprs import canonical_render, parse_class, render
 from permclass.harness import (
     REGISTRY,
     UnknownCheckError,
@@ -10,7 +10,6 @@ from permclass.harness import (
     behaviour_closure,
     check_behaviour,
     check_equality,
-    check_group_closure,
     check_inclusion,
     run_suite,
     search_m,
@@ -161,20 +160,6 @@ def test_equality_witness_in_symmetric_difference():
     assert report.results[4].witness == from_text("2143")
 
 
-def test_group_closure_union_of_l2():
-    report = check_group_closure(parse_class("or(Lk(2),rev(Lk(2)))"), range(1, 7))
-    assert report.holds
-
-
-def test_group_closure_failure_modes():
-    report = check_group_closure(LayeredK(2), [3])
-    assert report.results[3].status == "fails"
-    # the two-layer slice at order 3 misses the identity
-    assert report.results[3].reason == "missing identity"
-    all_report = check_group_closure(parse_class("All"), [3])
-    assert all_report.holds
-
-
 def test_search_m_shape():
     report = search_m(2, 2, 5)
     assert sorted(report.per_m) == [3, 4]
@@ -205,12 +190,26 @@ def test_run_suite_known_and_unknown():
     assert all(r.status == "pass" for r in results)
 
 
-def test_run_suite_status_skip_when_an_order_hits_a_cap():
-    tight = Config(max_order=3)
-    (result,) = run_suite(["lemma-kl"], config=tight)
+def test_run_suite_status_skip_when_an_order_hits_a_cap(monkeypatch):
+    # Every lemma-kl order builds a product slice; with the pair limit at 0
+    # each one is refused, and a cached slice would hide that.
+    slice_cache().clear()
+    monkeypatch.setattr(algebra, "MAX_PAIRS", 0)
+    (result,) = run_suite(["lemma-kl"])
     assert result.status == "skip"
     assert result.counterexamples == []
     assert result.parameters == {"k,l": "2,3 pairs", "max_n": 6}
+
+
+@pytest.mark.parametrize("n_cap", range(5))
+def test_run_suite_under_a_small_cap_skips_rather_than_raising(n_cap):
+    # lemma-L2-group compares two-layer products at order 3, so it skips below
+    # cap 3; every other check is exact at any cap.
+    results = run_suite(list(REGISTRY), n_cap=n_cap)
+    assert [r.name for r in results] == list(REGISTRY)
+    assert {r.name: r.status for r in results if r.status != "pass"} == (
+        {"lemma-L2-group": "skip"} if n_cap < 3 else {}
+    )
 
 
 def test_suite_result_json_excludes_timing():

@@ -18,7 +18,6 @@ from permclass.perms import (
     pattern_of,
 )
 from permclass.structure import (
-    Block,
     Coloring,
     LayerShape,
     NotLayeredError,
@@ -64,23 +63,33 @@ def test_layer_shape_validation():
 
 
 def test_min_blocks_oracles():
-    count, dec = min_blocks(from_text("2413"))
-    assert count == 4
-    assert [b.length for b in dec.blocks] == [1, 1, 1, 1]
-    count, dec = min_blocks(from_text("346512"))
-    assert count == 3
-    assert dec.blocks[0] == Block(1, 2, "inc")
-    assert min_blocks(identity(5)) == (1, min_blocks(identity(5))[1])
-    assert min_blocks(EMPTY)[0] == 0
+    assert min_blocks(from_text("2413")) == 4
+    assert min_blocks(from_text("346512")) == 3
+    assert min_blocks(from_text("123654")) == 2
+    assert min_blocks(identity(5)) == 1
+    assert min_blocks(EMPTY) == 0
 
 
-def test_min_blocks_leftmost_longest():
-    count, dec = min_blocks(from_text("123654"))
-    assert count == 2
-    assert dec.blocks == (Block(1, 3, "inc"), Block(4, 3, "dec"))
-    # concatenation of blocks reconstructs the permutation's positions
-    total = sum(b.length for b in dec.blocks)
-    assert total == 6
+def min_blocks_by_dp(p):
+    """The least number of blocks by dynamic programming over every split:
+    best[i] is the least count for the suffix from position i."""
+    vals = p.values
+    n = len(vals)
+
+    def is_block(i, j):  # positions i..j inclusive
+        steps = {b - a for a, b in zip(vals[i:j], vals[i + 1 : j + 1])}
+        return steps <= {1} or steps <= {-1}
+
+    best = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        best[i] = min(1 + best[j + 1] for j in range(i, n) if is_block(i, j))
+    return best[0]
+
+
+def test_min_blocks_matches_dp():
+    for n in range(0, 8):
+        for p in all_perms(n):
+            assert min_blocks(p) == min_blocks_by_dp(p), p
 
 
 def test_gamma_pattern():
