@@ -4,13 +4,17 @@
 `and`/`or` and `rev`/`cpl`/`inv`, the rule deriving its order-n slice from its
 children's.  Every other node grows its slice bottom up from order n-1 (exact,
 as every node denotes a downward-closed class); the basis comes from the same
-growth.  Slices are memoized by canonical rendering and order in a plain dict.
+growth.  A grown row may also give, for a member of order n-1, the new last
+entries that keep it in the class (`Ik`/`Dk`, by their generating tree); its
+children are then emitted untested, and `member` is asked nothing.  Slices
+are memoized by canonical rendering and order in a plain dict.
 
 A slice holds its members as byte strings, so none is built past order 255;
 only this module reads them.  `in`, iteration and `len` speak `Permutation`.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat, tee
@@ -160,23 +164,28 @@ _SHIFT = [_BYTES[:j] + _BYTES[j + 1 :] + b"\xff" for j in range(256)]
 _DOWN = [_BYTES[: v + 1] + _BYTES[v:-1] for v in range(256)]
 
 
-def _extensions(prev: AbstractSet[bytes], n: int) -> Iterator[bytes]:
-    """The order-n permutations whose last-entry and largest-entry deletions lie in prev.
+def _extensions(
+    prev: AbstractSet[bytes], n: int, admits: Optional[Callable[[bytes], range]] = None
+) -> Iterator[bytes]:
+    """The order-n children of prev's members: each gets a new last entry j.
 
-    Each member of prev gets a new last entry j in each of the n ways; for j < n
-    the largest entry sits elsewhere, and deleting it must leave a member too.
+    With admits, a member q gets each j in admits(q), untested.  Without, it
+    gets each j in 1..n, and the child is kept when deleting its largest entry
+    leaves a member of prev too (for j = n the largest entry is j itself).
     """
     _check_work(n, len(prev) * n, MAX_CANDIDATES, "growth candidates")
+    every = range(1, n + 1)
     for vals in prev:
-        top = vals.index(n - 1) if vals else 0
-        for j in range(1, n + 1):
+        top = None if admits else vals.index(n - 1) if vals else 0
+        for j in admits(vals) if admits else every:
             cand = vals.translate(_SHIFT[j]) + bytes((j,))
-            if j == n or cand[:top] + cand[top + 1 :] in prev:
+            if top is None or j == n or cand[:top] + cand[top + 1 :] in prev:
                 yield cand
 
 
 def _grow(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> Iterator[bytes]:
-    """The extensions of the order-(n-1) slice that `member` accepts.
+    """The extensions of the order-(n-1) slice: those its row admits, or else
+    those that `member` accepts.
 
     Missing lower orders are built first, bottom up, each through class_slice,
     so every build finds the order below it cached: no recursion in n.
@@ -188,6 +197,9 @@ def _grow(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> Iterato
         low -= 1
     for m in range(low, n):
         below = class_slice(expr, m, config, cache)
+    admits = _RULES[type(expr)].admits
+    if admits:
+        return _extensions(below.members, n, partial(admits, expr))
     candidates, probes = tee(_extensions(below.members, n))
     return compress(candidates, (member(expr, p, config, cache) for p in _perms(probes)))
 
@@ -278,10 +290,55 @@ def slice_cache() -> SliceCache:
 class _Rule(NamedTuple):
     """A node type's semantics: `member(expr, p, config, cache)`, and `slice(expr,
     n, config, cache)` deriving the order-n members from the children's slices
-    (None: grown from order n-1).  Both recurse through the module-level names."""
+    (None: grown from order n-1).  Both recurse through the module-level names.
+
+    A grown row may set `admits(expr, q)`: for the byte string q of a member of
+    order n-1, the range of new last entries j (values >= j shift up) whose
+    child is a member.  Growth then emits exactly those children, with no
+    deletion test and no `member` call; it must be the class's exact rule."""
 
     member: Callable[..., bool]
     slice: Optional[Callable[..., Iterable[bytes]]] = None
+    admits: Optional[Callable[[ClassExpr, bytes], range]] = None
+
+
+# _FLIP maps each value v to 255 - v: decreasing subsequences become increasing ones.
+_FLIP = _BYTES[::-1]
+
+
+def _least_end(keys: bytes, k: int, none: int) -> int:
+    """The least key that ends an increasing subsequence of length k in keys,
+    or none if there is none (one patience pass; k >= 1)."""
+    piles: list[int] = []
+    least = none
+    for x in keys:
+        i = bisect_left(piles, x)
+        if i == len(piles):
+            piles.append(x)
+        else:
+            piles[i] = x
+        if i >= k - 1 and x < least:
+            least = x
+    return least
+
+
+def _inc_k_admits(e: exprs.IncK, q: bytes) -> range:
+    """Ik(k) (West 1996): a new last entry j closes a decreasing subsequence of
+    length k+1 exactly when some length-k one ends at a value >= j.  So the
+    admitted j exceed c, the largest value ending a length-k decreasing
+    subsequence of q (0 if there is none).  Ik(0) has no member past order 0."""
+    if not e.k:
+        return range(0)
+    c = 255 - _least_end(q.translate(_FLIP), e.k, 255)
+    return range(c + 1, len(q) + 2)
+
+
+def _dec_k_admits(e: exprs.DecK, q: bytes) -> range:
+    """Dk(k), the mirror of Ik(k): the admitted j are at most d, the smallest
+    value ending a length-k increasing subsequence of q (n if there is none)."""
+    if not e.k:
+        return range(0)
+    return range(1, _least_end(q, e.k, len(q) + 1) + 1)
 
 
 def _mapped(f: Callable[[Permutation], Permutation]) -> _Rule:
@@ -329,8 +386,8 @@ _RULES: dict[type, _Rule] = {
     exprs.AllPerms: _Rule(lambda e, p, *_: True),
     exprs.Inc: _Rule(lambda e, p, *_: lds(p) <= 1),
     exprs.Dec: _Rule(lambda e, p, *_: lis(p) <= 1),
-    exprs.IncK: _Rule(lambda e, p, *_: lds(p) <= e.k),
-    exprs.DecK: _Rule(lambda e, p, *_: lis(p) <= e.k),
+    exprs.IncK: _Rule(lambda e, p, *_: lds(p) <= e.k, admits=_inc_k_admits),
+    exprs.DecK: _Rule(lambda e, p, *_: lis(p) <= e.k, admits=_dec_k_admits),
     exprs.LayeredAll: _layered(lambda e, lengths: True),
     exprs.LayeredK: _layered(lambda e, lengths: len(lengths) <= e.k),
     exprs.FibLayered: _layered(lambda e, lengths: all(l <= 2 for l in lengths)),

@@ -21,6 +21,7 @@ from permclass.exprs import (
     Comp,
     Cpl,
     Horiz,
+    IncK,
     Inv,
     Merge,
     Or,
@@ -176,9 +177,10 @@ def test_and_or_rev_cpl_inv_slices():
 def test_empty_order_slices():
     for text in ("I", "Ik(2)", "Av(321)", "comp(I,D)", "merge(I,D)", "L"):
         assert len(class_slice(parse_class(text), 0)) == 1
-    # Ik(0) holds only the empty permutation
-    assert len(class_slice(parse_class("Ik(0)"), 0)) == 1
-    assert len(class_slice(parse_class("Ik(0)"), 1)) == 0
+    # Ik(0) and Dk(0) hold only the empty permutation
+    for text in ("Ik(0)", "Dk(0)"):
+        assert len(class_slice(parse_class(text), 0)) == 1
+        assert count(parse_class(text), 9) == [0] * 9, text
 
 
 EVERY_NODE_TYPE = [
@@ -300,6 +302,57 @@ def test_growth_past_the_candidate_limit_raises_before_any_candidate(monkeypatch
         class_slice(parse_class("All"), 3, cache=cache)
     assert ("All", 2) in cache and ("All", 3) not in cache
     assert asked == [0, 1, 2, 2]
+
+
+def member_filtered_growth(expr, n, cache):
+    """Reference growth: the children of the order-(n-1) slice that pass the
+    largest-entry deletion test and that `member` accepts."""
+    if n == 0:
+        return {b""} if member(expr, Permutation(()), cache=cache) else set()
+    prev = class_slice(expr, n - 1, cache=cache).members
+    return {c for c in algebra._extensions(prev, n) if member(expr, Permutation(tuple(c)))}
+
+
+def test_generating_tree_growth_matches_member_filtered_growth():
+    # Ik(k) and Dk(k) grow by their generating tree, asking member nothing;
+    # each order must equal the member-filtered extensions of the one below.
+    cases = [(f"{kind}({k})", 8) for kind in ("Ik", "Dk") for k in range(6)]
+    cases += [("Ik(4)", 9), ("Dk(3)", 9)]
+    for text, top in cases:
+        expr, cache = parse_class(text), SliceCache()
+        for n in range(top + 1):
+            got = class_slice(expr, n, cache=cache).members
+            assert got == member_filtered_growth(expr, n, cache), (text, n)
+
+
+def test_generating_tree_growth_asks_member_only_about_the_empty_permutation(monkeypatch):
+    asked = []
+    real = algebra.member
+    monkeypatch.setattr(
+        algebra, "member", lambda e, p, *args: asked.append((render(e), len(p))) or real(e, p, *args)
+    )
+    cache = SliceCache()
+    assert len(class_slice(parse_class("Ik(3)"), 7, cache=cache)) == 2761
+    assert len(class_slice(parse_class("Dk(2)"), 7, cache=cache)) == 429
+    assert asked == [("Ik(3)", 0), ("Dk(2)", 0)]
+
+
+def test_generating_tree_growth_past_the_candidate_limit_raises_before_any_child(monkeypatch):
+    # Ik(2) has 2 members at order 2, so order 3 needs 2 * 3 = 6 candidates,
+    # counted as for member-filtered growth.
+    monkeypatch.setattr(algebra, "MAX_CANDIDATES", 5)
+    asked = []
+    rule = _RULES[IncK]
+    monkeypatch.setitem(
+        _RULES, IncK, rule._replace(admits=lambda e, q: asked.append(len(q)) or rule.admits(e, q))
+    )
+    cache = SliceCache()
+    refusal = "^order 3 needs 6 growth candidates, over the limit 5$"
+    with pytest.raises(ResourceLimitError, match=refusal):
+        class_slice(parse_class("Ik(2)"), 3, cache=cache)
+    assert ("Ik(2)", 2) in cache and ("Ik(2)", 3) not in cache
+    # Parents of orders 0 and 1 were extended; no order-2 parent was.
+    assert asked == [0, 1]
 
 
 def test_basis_past_the_candidate_limit_is_refused_before_the_loop(monkeypatch):
