@@ -174,10 +174,9 @@ def _extensions(
     leaves a member of prev too (for j = n the largest entry is j itself).
     """
     _check_work(n, len(prev) * n, MAX_CANDIDATES, "growth candidates")
-    every = range(1, n + 1)
     for vals in prev:
         top = None if admits else vals.index(n - 1) if vals else 0
-        for j in admits(vals) if admits else every:
+        for j in admits(vals) if admits else range(1, n + 1):
             cand = vals.translate(_SHIFT[j]) + bytes((j,))
             if top is None or j == n or cand[:top] + cand[top + 1 :] in prev:
                 yield cand
