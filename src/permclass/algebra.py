@@ -7,7 +7,9 @@ as every node denotes a downward-closed class); the basis comes from the same
 growth.  A grown row may also give, for a member of order n-1, the new last
 entries that keep it in the class (`Ik`/`Dk`, by their generating tree); its
 children are then emitted untested, and `member` is asked nothing.  Slices
-are memoized by canonical rendering and order in a plain dict.
+are memoized by canonical rendering and order in a plain dict.  An inclusion
+into a product strikes batches of products until fewer members are left than
+batches, then tests each member p: is some p o b^-1 in the first factor?
 
 A slice holds its members as byte strings, so none is built past order 255;
 only this module reads them.  `in`, iteration and `len` speak `Permutation`.
@@ -18,6 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat, tee
+from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import exprs, structure
@@ -227,33 +230,37 @@ def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) 
     return basis
 
 
-def _product_batches(
+def _split(
     factors: Sequence[ClassExpr], n: int, config: Config, cache: SliceCache
-) -> Iterator[Iterable[bytes]]:
-    """The products a1 o ... o ak on byte strings, one batch per member a1 of
-    the first factor, in that slice's set order.
-
-    The other factors' partial product is built first, right to left, from
-    these same batches.  A batch maps every accumulated b to a o b through a
-    256-byte table with table[v] = a(v), so the loop over pairs runs inside
-    bytes.translate.
-    """
+) -> tuple[AbstractSet[bytes], AbstractSet[bytes]]:
+    """(left, acc): the first factor's members and the partial product of the
+    others, built right to left from the same batches.  The pair limit of each
+    level is checked before its first batch."""
     first, *others = factors
-    if not others:
-        yield class_slice(first, n, config, cache).members
-        return
-    acc: set[bytes] = set()
-    for batch in _product_batches(others, n, config, cache):
-        acc.update(batch)
+    if len(others) == 1:
+        acc = class_slice(others[0], n, config, cache).members
+    else:
+        acc = set(chain.from_iterable(_batches(*_split(others, n, config, cache), n)))
     left = class_slice(first, n, config, cache).members
     _check_work(n, len(left) * len(acc), MAX_PAIRS, "product pairs")
+    return left, acc
+
+
+def _batches(left: Iterable[bytes], acc: Iterable[bytes], n: int) -> Iterator[Iterable[bytes]]:
+    """The products a o b on byte strings, one batch per a in left, in set
+    order.  A batch maps every b to a o b through a 256-byte table with
+    table[v] = a(v), so the loop over pairs runs inside bytes.translate."""
     pad = bytes(MAX_SLICE_ORDER - n)
-    for a in left:
-        yield map(bytes.translate, acc, repeat(b"\0" + a + pad))
+    return (map(bytes.translate, acc, repeat(b"\0" + a + pad)) for a in left)
 
 
 def _compose_slice(expr: Comp, n: int, config: Config, cache: SliceCache) -> Iterable[bytes]:
-    return chain.from_iterable(_product_batches(expr.children, n, config, cache))
+    return chain.from_iterable(_batches(*_split(expr.children, n, config, cache), n))
+
+
+def _per_member_pays(rest: int, batches_left: int) -> bool:
+    """Each member left costs at most |acc| tests; each batch left, |acc| pairs."""
+    return rest < batches_left
 
 
 def first_non_product(
@@ -262,18 +269,30 @@ def first_non_product(
     """The lexicographically first member of the slice lhs that is not in the
     product class expr, or None.
 
-    Each batch of products is struck from a copy of the members, and the scan
-    stops once none is left.  The product slice is never built: the memory is
-    the members and the partial product of all factors but the first.
+    With A the first factor's slice and B the others' partial product, each
+    batch a o B is struck from a copy of the members until none is left, or
+    fewer than the batches left; each one left is then decided alone, in byte
+    order: p is in A o B when p o b^-1 is in A for some b in B (b^-1 being
+    maketrans(b, 1..n) cut to 1..n).  Memory: the members, B and B^-1, never A o B.
     """
     if not lhs:
         return None
+    n = lhs.order
+    left, acc = _split(expr.children, n, config, _GLOBAL_CACHE)
     rest = set(lhs.members)
-    for batch in _product_batches(expr.children, lhs.order, config, _GLOBAL_CACHE):
+    for done, batch in enumerate(_batches(left, acc, n)):
+        if _per_member_pays(len(rest), len(left) - done):
+            break
         rest.difference_update(batch)
         if not rest:
             return None
-    return next(_perms([min(rest)]))
+    else:
+        return next(_perms([min(rest)]))
+    ident, pad = _BYTES[1 : n + 1], bytes(MAX_SLICE_ORDER - n)
+    inverses = list(map(itemgetter(slice(1, n + 1)), map(bytes.maketrans, acc, repeat(ident))))
+    ordered = sorted(rest)
+    tests = (map(bytes.translate, inverses, repeat(b"\0" + p + pad)) for p in ordered)
+    return next(_perms(compress(ordered, map(left.isdisjoint, tests))), None)
 
 
 def count(expr: ClassExpr, n_max: int, config: Config = DEFAULT_CONFIG) -> list[int]:

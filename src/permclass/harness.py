@@ -161,8 +161,9 @@ def check_inclusion(
     (lexicographic) witness is reported on failure and re-verified cache-free.
 
     Into a product the LHS slice is streamed against the products, which are
-    never stored; any other RHS is asked about each member in order, up to the
-    first failure."""
+    never stored, until fewer members are left than batches; each one left is
+    then tested alone (`first_non_product`).  Any other RHS is asked about
+    each member in order, up to the first failure."""
 
     def verdict(n: int) -> Verdict:
         lhs_slice = class_slice(lhs, n, config)

@@ -153,6 +153,81 @@ def test_streamed_inclusion_matches_per_member_scan():
     assert report.results[0].witness == from_text("e")
 
 
+# Ik(4) has 33,324 members at order 8 against 1,430 batches of Ik(2)∘Ik(2): the
+# stream strikes most of them, then hands the rest to the per-member test.
+SWITCHED_INCLUSIONS = [(lhs, rhs, range(0, 8)) for lhs, rhs in STREAMED_INCLUSIONS] + [
+    ("Ik(4)", "comp(Ik(2),Ik(2))", [8])
+]
+
+
+def test_switch_point_leaves_the_report_unchanged(monkeypatch):
+    # Three runs per pair: per-member tests from batch 0, the stream alone, and
+    # the rule; each must equal the reference that asks `member` of every member.
+    real = algebra._per_member_pays
+    for lhs, rhs, orders in SWITCHED_INCLUSIONS:
+        lhs, rhs = parse_class(lhs), parse_class(rhs)
+        want = per_member_inclusion(lhs, rhs, orders)
+        for rule in (lambda rest, batches_left: True, lambda rest, batches_left: False, real):
+            monkeypatch.setattr(algebra, "_per_member_pays", rule)
+            assert check_inclusion(lhs, rhs, orders).to_json() == want, (render(lhs), render(rhs))
+
+
+def streamed_switch(rhs, lhs_slice):
+    """(batches streamed, members left) where the stream should stop, as
+    |rest| < batches left, or None when it runs out or strikes every member."""
+    n = lhs_slice.order
+    left, acc = algebra._split(rhs.children, n, Config(), slice_cache())
+    rest = set(lhs_slice.members)
+    for done, batch in enumerate(algebra._batches(left, acc, n)):
+        if len(rest) < len(left) - done:
+            return done, len(rest)
+        rest.difference_update(batch)
+        if not rest:
+            return None
+    return None
+
+
+def test_stream_switches_once_fewer_members_are_left_than_batches(monkeypatch):
+    real, calls = algebra._per_member_pays, []
+
+    def spy(rest, batches_left):
+        calls.append((rest, batches_left, real(rest, batches_left)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(algebra, "_per_member_pays", spy)
+    rhs = parse_class("comp(Ik(2),Ik(2))")
+    seen = {}
+    for lhs, n in (("Ik(2)", 3), ("Ik(4)", 8), ("I", 4)):
+        lhs_slice = class_slice(parse_class(lhs), n)
+        calls.clear()
+        assert algebra.first_non_product(rhs, lhs_slice) is None
+        got = (len(calls) - 1, calls[-1][0]) if calls and calls[-1][2] else None
+        assert got == streamed_switch(rhs, lhs_slice), (lhs, n)
+        seen[lhs] = got, list(calls)
+    # Ik(2) at order 3: 5 members against 5 batches, so batch 0 streams.  Ik(4)
+    # switches mid-stream.  I at order 4: 1 member against 14 batches, so the
+    # per-member tests start at batch 0.
+    assert seen["Ik(2)"][1][0] == (5, 5, False)
+    assert seen["Ik(4)"][0][0] > 0
+    assert seen["I"] == ((0, 1), [(1, 14, True)])
+
+
+def test_per_member_phase_keeps_the_pair_limit_and_caches_no_product(monkeypatch):
+    # |I| = 1 < 14 batches at order 4, so the switch fires at batch 0, after
+    # the pair limit has been checked.
+    slice_cache().clear()
+    rhs = parse_class("comp(Ik(2),Ik(2))")
+    monkeypatch.setattr(algebra, "MAX_PAIRS", 14 * 14 - 1)
+    report = check_inclusion(parse_class("I"), rhs, range(1, 6))
+    assert report.skipped_orders == [4, 5]
+    assert report.results[4].reason == "order 4 needs 196 product pairs, over the limit 195"
+    monkeypatch.setattr(algebra, "MAX_PAIRS", 14 * 14)
+    report = check_inclusion(parse_class("I"), rhs, range(1, 6))
+    assert report.skipped_orders == [5] and not report.failed_orders
+    assert report.results[5].reason == "order 5 needs 1764 product pairs, over the limit 196"
+    assert all((canonical_render(rhs), n) not in slice_cache() for n in range(0, 6))
+
+
 def test_equality_witness_in_symmetric_difference():
     report = check_equality(parse_class("Vk(2)"), parse_class("Ik(2)"), range(1, 5))
     assert report.results[3].status == "holds"
