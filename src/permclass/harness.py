@@ -17,6 +17,7 @@ from .algebra import (
     Config,
     DEFAULT_CONFIG,
     ResourceLimitError,
+    _batches,
     basis_up_to,
     class_slice,
     count,
@@ -40,7 +41,6 @@ from .exprs import (
 from .perms import (
     Permutation,
     all_perms,
-    compose,
     contains,
     decreasing,
     direct_sum,
@@ -523,17 +523,16 @@ def _basis_h(cap: int, config: Config) -> Iterator[str]:
 
 
 def _lemma_blocks(cap: int, config: Config) -> Iterator[str]:
+    """min_blocks(p o q) <= min_blocks(p) * min_blocks(q) over S_n x S_n, with
+    p the outer loop; the products come from the engine's byte-string pair loop."""
     for n in range(0, cap + 1):
-        counts = {p: structure.min_blocks(p) for p in all_perms(n)}
-        perms = list(counts)
-        for p in perms:
-            bp = counts[p]
-            for q in perms:
-                composed = compose(p, q)
-                if counts[composed] > bp * counts[q]:
+        counts = {bytes(p.values): structure.min_blocks(p) for p in all_perms(n)}
+        for (p, bp), batch in zip(counts.items(), _batches(counts, counts, n)):
+            for (q, bq), pq in zip(counts.items(), batch):
+                if counts[pq] > bp * bq:
                     yield (
-                        f"{to_text(p)} o {to_text(q)} = {to_text(composed)}: "
-                        f"{counts[composed]} > {bp} * {counts[q]}"
+                        f"{to_text(Permutation(p))} o {to_text(Permutation(q))} = "
+                        f"{to_text(Permutation(pq))}: {counts[pq]} > {bp} * {bq}"
                     )
 
 

@@ -7,6 +7,7 @@ value rendered as "e".
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -155,47 +156,56 @@ def pattern_of(values: Sequence[int]) -> Permutation:
     return Permutation(ranks[v] for v in values)
 
 
+@functools.lru_cache
+def _neighbours(pat: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """For each pattern index t, the two earlier indices that bound its value
+    window: the one with the nearest smaller value and the one with the nearest
+    larger value.  Indices are offset by 2 into contains' matched values; 0
+    stands for "none smaller" (value 0) and 1 for "none larger" (value n+1)."""
+    out = []
+    for t, v in enumerate(pat):
+        below = [s for s in range(t) if pat[s] < v]
+        above = [s for s in range(t) if pat[s] > v]
+        out.append((
+            max(below, key=pat.__getitem__) + 2 if below else 0,
+            min(above, key=pat.__getitem__) + 2 if above else 1,
+        ))
+    return tuple(out)
+
+
 def contains(host: Permutation, pattern: Permutation) -> Optional[Occurrence]:
     """Lexicographically smallest occurrence of pattern in host, or None.
 
     Backtracking over positions with value-window pruning; the first complete
     match found by always extending with the smallest next position is the
-    lexicographically smallest one.
+    lexicographically smallest one.  The matched prefix is order-isomorphic to
+    the pattern's, so the window for index t is bounded by just two matched
+    values: those of its nearest smaller and nearest larger earlier neighbours.
     """
     m, n = len(pattern), len(host)
     if m == 0:
         return Occurrence(())
     if m > n:
         return None
-    pat = pattern.values
+    bounds = _neighbours(pattern.values)
     hv = host.values
-    chosen: list[int] = []  # 0-based host positions
-
-    def window(t: int) -> tuple[int, int]:
-        # Value bounds for pattern index t given already-matched prefix.
-        lo, hi = 0, n + 1
-        for s in range(t):
-            v = hv[chosen[s]]
-            if pat[s] < pat[t]:
-                lo = max(lo, v)
-            else:
-                hi = min(hi, v)
-        return lo, hi
+    matched = [0, n + 1]  # the sentinels, then the matched host values
 
     def extend(t: int, start: int) -> bool:
         if t == m:
             return True
-        lo, hi = window(t)
+        below, above = bounds[t]
+        lo, hi = matched[below], matched[above]
         for j in range(start, n - (m - t) + 1):
             if lo < hv[j] < hi:
-                chosen.append(j)
+                matched.append(hv[j])
                 if extend(t + 1, j + 1):
                     return True
-                chosen.pop()
+                matched.pop()
         return False
 
     if extend(0, 0):
-        return Occurrence(tuple(j + 1 for j in chosen))
+        return Occurrence(tuple(hv.index(v) + 1 for v in matched[2:]))
     return None
 
 

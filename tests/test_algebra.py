@@ -355,6 +355,42 @@ def test_generating_tree_growth_past_the_candidate_limit_raises_before_any_child
     assert asked == [0, 1]
 
 
+LAYERED_ROWS = ["L", "F2"] + [f"Lk({k})" for k in range(1, 5)]
+
+
+def test_layered_growth_matches_member_filtered_growth():
+    # L, Lk(k) and F2 grow by their generating tree: a layered member has at
+    # most two layered children, each kept when the row accepts its lengths.
+    for text in LAYERED_ROWS:
+        expr, cache = parse_class(text), SliceCache()
+        for n in range(10):
+            got = class_slice(expr, n, cache=cache).members
+            assert got == member_filtered_growth(expr, n, cache), (text, n)
+
+
+def test_layered_growth_asks_member_only_about_the_empty_permutation(monkeypatch):
+    asked = []
+    real = algebra.member
+    monkeypatch.setattr(
+        algebra, "member", lambda e, p, *args: asked.append((render(e), len(p))) or real(e, p, *args)
+    )
+    cache = SliceCache()
+    assert len(class_slice(parse_class("F2"), 10, cache=cache)) == 89
+    assert len(class_slice(parse_class("Lk(3)"), 10, cache=cache)) == 46
+    assert asked == [("F2", 0), ("Lk(3)", 0)]
+
+
+def test_layered_growth_past_the_candidate_limit_keeps_its_refusal(monkeypatch):
+    # L has 2 members at order 2, so order 3 counts 2 * 3 = 6 candidates, as
+    # member-filtered growth would, though each member has at most 2 children.
+    monkeypatch.setattr(algebra, "MAX_CANDIDATES", 5)
+    cache = SliceCache()
+    refusal = "^order 3 needs 6 growth candidates, over the limit 5$"
+    with pytest.raises(ResourceLimitError, match=refusal):
+        class_slice(parse_class("L"), 3, cache=cache)
+    assert ("L", 2) in cache and ("L", 3) not in cache
+
+
 def test_basis_past_the_candidate_limit_is_refused_before_the_loop(monkeypatch):
     monkeypatch.setattr(algebra, "MAX_CANDIDATES", 5)
     asked = []

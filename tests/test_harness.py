@@ -1,6 +1,6 @@
 import json
 
-from permclass import algebra
+from permclass import algebra, structure
 from permclass.algebra import Config, SliceCache, class_slice, member, slice_cache
 from permclass.exprs import canonical_render, parse_class, render
 from permclass.harness import (
@@ -14,7 +14,7 @@ from permclass.harness import (
     run_suite,
     search_m,
 )
-from permclass.perms import from_text
+from permclass.perms import all_perms, compose, from_text, to_text
 
 import pytest
 
@@ -285,6 +285,24 @@ def test_run_suite_under_a_small_cap_skips_rather_than_raising(n_cap):
     assert {r.name: r.status for r in results if r.status != "pass"} == (
         {"lemma-L2-group": "skip"} if n_cap < 3 else {}
     )
+
+
+def test_lemma_blocks_reports_p_o_q_as_p_after_q(monkeypatch):
+    # With 231 given 2 blocks and every other permutation 1, a pair fails
+    # exactly when p o q = 231 and neither is 231 or the identity.
+    target = from_text("231")
+    fake = lambda p: 2 if p == target else 1
+    monkeypatch.setattr(structure, "min_blocks", fake)
+    (result,) = run_suite(["lemma-blocks"], n_cap=3)
+    expected = [
+        f"{to_text(p)} o {to_text(q)} = {to_text(compose(p, q))}: 2 > 1 * 1"
+        for p in all_perms(3)
+        for q in all_perms(3)
+        if fake(compose(p, q)) > fake(p) * fake(q)
+    ]
+    assert result.status == "fail"
+    assert result.counterexamples == expected
+    assert expected[0] == "132 o 321 = 231: 2 > 1 * 1"
 
 
 def test_suite_result_json_excludes_timing():

@@ -157,6 +157,41 @@ def test_contains_matches_brute_force():
                 assert got.indices == expected
 
 
+def _contains_prefix_scan(host, pattern):
+    """Reference: the same search, each window rescanning the matched prefix."""
+    m, n = len(pattern), len(host)
+    pat, hv, chosen = pattern.values, host.values, []
+
+    def extend(t, start):
+        if t == m:
+            return True
+        lo = max((hv[chosen[s]] for s in range(t) if pat[s] < pat[t]), default=0)
+        hi = min((hv[chosen[s]] for s in range(t) if pat[s] > pat[t]), default=n + 1)
+        for j in range(start, n - (m - t) + 1):
+            if lo < hv[j] < hi:
+                chosen.append(j)
+                if extend(t + 1, j + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return Occurrence(tuple(j + 1 for j in chosen)) if m <= n and extend(0, 0) else None
+
+
+def test_contains_matches_the_prefix_scan_on_small_orders():
+    patterns = [p for m in range(5) for p in all_perms(m)]
+    for n in range(7):
+        for host in all_perms(n):
+            for pat in patterns:
+                assert contains(host, pat) == _contains_prefix_scan(host, pat), (host, pat)
+
+
+@given(st.permutations(range(1, 11)), st.integers(9, 10), perm_strategy(6))
+def test_contains_matches_the_prefix_scan_on_larger_hosts(values, n, pat):
+    host = pattern_of(values[:n])
+    assert contains(host, pat) == _contains_prefix_scan(host, pat)
+
+
 def test_occurrence_validates():
     with pytest.raises(ValueError):
         Occurrence((2, 2))
