@@ -2,11 +2,12 @@
 
 `_RULES` holds one row per node type: its membership rule and, for `comp`,
 `and`/`or` and `rev`/`cpl`/`inv`, the rule deriving its order-n slice from its
-children's.  Every other node grows its slice bottom up from order n-1 (exact,
-as every node denotes a downward-closed class); the basis comes from the same
-growth.  A grown row may also give, for a member of order n-1, the new last
-entries that keep it in the class (`Ik`/`Dk` and the layered rows `L`, `Lk`,
-`F2`, by their generating trees); its children are then emitted untested, and
+children's.  `I` and `D` are `Ik(1)` and `Dk(1)` and share those rows.  Every
+other node grows its slice bottom up from order n-1 (exact, as every node
+denotes a downward-closed class); the basis comes from the same growth.  A
+grown row may also give, for a member of order n-1, the new last entries that
+keep it in the class (`I`/`D`, `Ik`/`Dk` and the layered rows `L`, `Lk`, `F2`,
+by their generating trees); its children are then emitted untested, and
 `member` is asked nothing.  Slices are memoized by canonical rendering and
 order in a plain dict.  An inclusion into a product strikes batches of
 products until fewer members are left than batches, then tests each member p:
@@ -342,7 +343,7 @@ def _least_end(keys: bytes, k: int, none: int) -> int:
     return least
 
 
-def _inc_k_admits(e: exprs.IncK, q: bytes) -> range:
+def _inc_k_admits(e: exprs.IncK | exprs.Inc, q: bytes) -> range:
     """Ik(k) (West 1996): a new last entry j closes a decreasing subsequence of
     length k+1 exactly when some length-k one ends at a value >= j.  So the
     admitted j exceed c, the largest value ending a length-k decreasing
@@ -353,7 +354,7 @@ def _inc_k_admits(e: exprs.IncK, q: bytes) -> range:
     return range(c + 1, len(q) + 2)
 
 
-def _dec_k_admits(e: exprs.DecK, q: bytes) -> range:
+def _dec_k_admits(e: exprs.DecK | exprs.Dec, q: bytes) -> range:
     """Dk(k), the mirror of Ik(k): the admitted j are at most d, the smallest
     value ending a length-k increasing subsequence of q (n if there is none)."""
     if not e.k:
@@ -381,18 +382,6 @@ def _boolean(quantifier, combine) -> _Rule:
     )
 
 
-def _layer_lengths(q: bytes) -> tuple[int, ...]:
-    """The layer lengths of a layered q: a layer ends at its least value, one
-    more than the number of entries before the layer.  Unlike structure.layers
-    it does not validate q, which makes growing F2 about a third faster."""
-    lengths, start = [], 0
-    for i, v in enumerate(q, 1):
-        if v == start + 1:
-            lengths.append(i - start)
-            start = i
-    return tuple(lengths)
-
-
 def _layered(accept: Callable[[ClassExpr, tuple[int, ...]], bool]) -> _Rule:
     """L/Lk/F2: layered, with layer lengths that accept(expr, lengths) admits.
 
@@ -402,11 +391,11 @@ def _layered(accept: Callable[[ClassExpr, tuple[int, ...]], bool]) -> _Rule:
     its lengths."""
 
     def rule(e: ClassExpr, p: Permutation, *_) -> bool:
-        shape = structure.layers(p)
-        return shape is not None and accept(e, shape.lengths)
+        lengths = structure.layers(p)
+        return lengths is not None and accept(e, lengths)
 
     def admits(e: ClassExpr, q: bytes) -> list[int]:
-        lengths = _layer_lengths(q)
+        lengths = structure.layers(q)
         out = [len(q) + 1] if accept(e, lengths + (1,)) else []
         if q and accept(e, lengths[:-1] + (lengths[-1] + 1,)):
             out.append(q[-1])
@@ -426,12 +415,16 @@ def _merge_member(e: exprs.Merge, p: Permutation, config: Config, cache) -> bool
     return structure.merge_split(p, _part_tests(e, config, cache)) is not None
 
 
+# I and D are Ik(1) and Dk(1): they share these rows, which read k = 1 off them.
+_INC_K = _Rule(lambda e, p, *_: lds(p) <= e.k, admits=_inc_k_admits)
+_DEC_K = _Rule(lambda e, p, *_: lis(p) <= e.k, admits=_dec_k_admits)
+
 _RULES: dict[type, _Rule] = {
     exprs.AllPerms: _Rule(lambda e, p, *_: True),
-    exprs.Inc: _Rule(lambda e, p, *_: lds(p) <= 1),
-    exprs.Dec: _Rule(lambda e, p, *_: lis(p) <= 1),
-    exprs.IncK: _Rule(lambda e, p, *_: lds(p) <= e.k, admits=_inc_k_admits),
-    exprs.DecK: _Rule(lambda e, p, *_: lis(p) <= e.k, admits=_dec_k_admits),
+    exprs.Inc: _INC_K,
+    exprs.Dec: _DEC_K,
+    exprs.IncK: _INC_K,
+    exprs.DecK: _DEC_K,
     exprs.LayeredAll: _layered(lambda e, lengths: True),
     exprs.LayeredK: _layered(lambda e, lengths: len(lengths) <= e.k),
     exprs.FibLayered: _layered(lambda e, lengths: all(l <= 2 for l in lengths)),

@@ -15,17 +15,20 @@ rev/cpl/inv exactly 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from operator import attrgetter
+from typing import ClassVar
 
 from .perms import Permutation, to_text
 
 
 class ClassExpr:
-    """Base of all class-expression nodes."""
+    """Base of all class-expression nodes.  Each node type is a subclass of
+    one kind base below (or Av) that sets `name`, its spelling in the grammar."""
 
     __slots__ = ()
+    name: ClassVar[str]
 
     # Nodes are immutable and non-slotted, so the key is stored in the instance
     # dict on first use; it is not a field, so eq, hash and repr ignore it.
@@ -33,85 +36,117 @@ class ClassExpr:
     def _canonical(self) -> str:
         return _spell(self, canonical=True)
 
+    # A node type inherits eq, hash, repr and the frozen fields from its kind
+    # base, a frozen dataclass.  It is not one itself (each decoration costs
+    # about 0.4 ms at import), so that base's frozen check passes every other
+    # name up to here.
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
 
 @dataclass(frozen=True)
-class Inc(ClassExpr):
-    """All increasing permutations."""
+class _Atom(ClassExpr):
+    """A node with no argument, spelled by its name alone."""
 
 
 @dataclass(frozen=True)
-class Dec(ClassExpr):
-    """All decreasing permutations."""
+class _Param(ClassExpr):
+    """A node with one integer parameter k >= least, spelled name(k)."""
+
+    k: int
+    least = 1
+
+    def __post_init__(self):
+        if self.k < self.least:
+            raise ValueError(f"{self.name} requires k >= {self.least}")
 
 
 @dataclass(frozen=True)
-class LayeredAll(ClassExpr):
+class _Nary(ClassExpr):
+    """A node over at least `least` child classes, spelled name(c1,...,cm);
+    the canonical spelling sorts the children of a commutative one."""
+
+    children: tuple[ClassExpr, ...]
+    least = 2
+    commutative = False
+
+    def __post_init__(self):
+        if len(self.children) < self.least:
+            raise ValueError(f"{self.name} requires at least {self.least} children")
+
+
+@dataclass(frozen=True)
+class _Unary(ClassExpr):
+    """A node over exactly one child class, spelled name(c)."""
+
+    child: ClassExpr
+
+
+class Inc(_Atom):
+    """All increasing permutations: Ik(1), whose rule reads this `k`."""
+
+    name = "I"
+    k = 1
+
+
+class Dec(_Atom):
+    """All decreasing permutations: Dk(1), whose rule reads this `k`."""
+
+    name = "D"
+    k = 1
+
+
+class LayeredAll(_Atom):
     """All layered permutations (sums of decreasing runs)."""
 
+    name = "L"
 
-@dataclass(frozen=True)
-class FibLayered(ClassExpr):
+
+class FibLayered(_Atom):
     """Layered permutations with every layer of length at most 2."""
 
+    name = "F2"
 
-@dataclass(frozen=True)
-class AllPerms(ClassExpr):
+
+class AllPerms(_Atom):
     """Every permutation; test scaffolding atom."""
 
+    name = "All"
 
-@dataclass(frozen=True)
-class IncK(ClassExpr):
+
+class IncK(_Param):
     """Permutations coverable by at most k increasing subsequences."""
 
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("Ik requires k >= 0")
+    name = "Ik"
+    least = 0
 
 
-@dataclass(frozen=True)
-class DecK(ClassExpr):
+class DecK(_Param):
     """Permutations coverable by at most k decreasing subsequences."""
 
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("Dk requires k >= 0")
+    name = "Dk"
+    least = 0
 
 
-@dataclass(frozen=True)
-class LayeredK(ClassExpr):
+class LayeredK(_Param):
     """Layered permutations with at most k layers."""
 
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("Lk requires k >= 1")
+    name = "Lk"
 
 
-@dataclass(frozen=True)
-class VertK(ClassExpr):
+class VertK(_Param):
     """Concatenations of at most k increasing segments."""
 
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("Vk requires k >= 1")
+    name = "Vk"
 
 
-@dataclass(frozen=True)
-class HorizK(ClassExpr):
+class HorizK(_Param):
     """Interleavings of at most k increasing runs on stacked value ranges."""
 
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("Hk requires k >= 1")
+    name = "Hk"
 
 
 @dataclass(frozen=True)
@@ -119,6 +154,7 @@ class Av(ClassExpr):
     """Permutations avoiding every listed pattern."""
 
     patterns: tuple[Permutation, ...]
+    name = "Av"
 
     def __post_init__(self):
         if not self.patterns:
@@ -127,93 +163,63 @@ class Av(ClassExpr):
             raise ValueError("Av patterns must be duplicate-free")
 
 
-def _require_children(name: str, children: tuple, minimum: int) -> None:
-    if len(children) < minimum:
-        raise ValueError(f"{name} requires at least {minimum} children")
-
-
-@dataclass(frozen=True)
-class Comp(ClassExpr):
+class Comp(_Nary):
     """Ordered composition of classes (left factor applied last)."""
 
-    children: tuple[ClassExpr, ...]
-
-    def __post_init__(self):
-        _require_children("comp", self.children, 2)
+    name = "comp"
 
 
-@dataclass(frozen=True)
-class Merge(ClassExpr):
+class Merge(_Nary):
     """Permutations colorable into parts lying in the child classes."""
 
-    children: tuple[ClassExpr, ...]
-
-    def __post_init__(self):
-        _require_children("merge", self.children, 2)
+    name = "merge"
+    commutative = True
 
 
-@dataclass(frozen=True)
-class Vert(ClassExpr):
+class Vert(_Nary):
     """Vertical merge: concatenation of segments from the child classes, in order."""
 
-    children: tuple[ClassExpr, ...]
-
-    def __post_init__(self):
-        _require_children("V", self.children, 1)
+    name = "V"
+    least = 1
 
 
-@dataclass(frozen=True)
-class Horiz(ClassExpr):
+class Horiz(_Nary):
     """Horizontal merge: interleaving of parts on stacked value ranges, bottom-up."""
 
-    children: tuple[ClassExpr, ...]
-
-    def __post_init__(self):
-        _require_children("H", self.children, 1)
+    name = "H"
+    least = 1
 
 
-@dataclass(frozen=True)
-class And(ClassExpr):
-    children: tuple[ClassExpr, ...]
-
-    def __post_init__(self):
-        _require_children("and", self.children, 2)
+class And(_Nary):
+    name = "and"
+    commutative = True
 
 
-@dataclass(frozen=True)
-class Or(ClassExpr):
-    children: tuple[ClassExpr, ...]
-
-    def __post_init__(self):
-        _require_children("or", self.children, 2)
+class Or(_Nary):
+    name = "or"
+    commutative = True
 
 
-@dataclass(frozen=True)
-class Rev(ClassExpr):
-    child: ClassExpr
+class Rev(_Unary):
+    name = "rev"
 
 
-@dataclass(frozen=True)
-class Cpl(ClassExpr):
-    child: ClassExpr
+class Cpl(_Unary):
+    name = "cpl"
 
 
-@dataclass(frozen=True)
-class Inv(ClassExpr):
-    child: ClassExpr
+class Inv(_Unary):
+    name = "inv"
 
 
-_ATOM_TEXT = {Inc: "I", Dec: "D", LayeredAll: "L", FibLayered: "F2", AllPerms: "All"}
-_PARAM_TEXT = {IncK: "Ik", DecK: "Dk", LayeredK: "Lk", VertK: "Vk", HorizK: "Hk"}
-_NARY_TEXT = {Comp: "comp", Merge: "merge", Vert: "V", Horiz: "H", And: "and", Or: "or"}
-_UNARY_TEXT = {Rev: "rev", Cpl: "cpl", Inv: "inv"}
+def _leaves(t: type) -> list[type]:
+    """The subclasses of t that have none of their own."""
+    subs = t.__subclasses__()
+    return [leaf for s in subs for leaf in _leaves(s)] if subs else [t]
 
-# The parser's view of the same spellings: name -> node type.
-_ATOMS = {text: t for t, text in _ATOM_TEXT.items()}
-_PARAMS = {text: t for t, text in _PARAM_TEXT.items()}
-_NARIES = {text: t for t, text in _NARY_TEXT.items()}
-_UNARIES = {text: t for t, text in _UNARY_TEXT.items()}
-_FUNC_NAMES = {*_PARAMS, "Av", *_NARIES, *_UNARIES}
+
+# Every node type by its name; the parser's one table.
+_NODES = {t.name: t for t in _leaves(ClassExpr)}
 
 
 def _perm_literal(p: Permutation) -> str:
@@ -223,22 +229,21 @@ def _perm_literal(p: Permutation) -> str:
 
 
 def _spell(expr: ClassExpr, canonical: bool) -> str:
-    """Grammar text; the canonical one sorts the children of merge/and/or."""
-    t = type(expr)
-    if t in _ATOM_TEXT:
-        return _ATOM_TEXT[t]
-    if t in _PARAM_TEXT:
-        return f"{_PARAM_TEXT[t]}({expr.k})"
-    if t is Av:
+    """Grammar text; the canonical one sorts the children of commutative nodes."""
+    if isinstance(expr, _Atom):
+        return expr.name
+    if isinstance(expr, _Param):
+        return f"{expr.name}({expr.k})"
+    if isinstance(expr, Av):
         return "Av(" + ",".join(_perm_literal(p) for p in expr.patterns) + ")"
     spell = attrgetter("_canonical") if canonical else render
-    if t in _UNARY_TEXT:
-        return _UNARY_TEXT[t] + "(" + spell(expr.child) + ")"
-    if t in _NARY_TEXT:
+    if isinstance(expr, _Unary):
+        return expr.name + "(" + spell(expr.child) + ")"
+    if isinstance(expr, _Nary):
         parts = [spell(c) for c in expr.children]
-        if canonical and t in (Merge, And, Or):
+        if canonical and expr.commutative:
             parts.sort()
-        return _NARY_TEXT[t] + "(" + ",".join(parts) + ")"
+        return expr.name + "(" + ",".join(parts) + ")"
     raise TypeError(f"unknown expression node: {expr!r}")
 
 
@@ -331,49 +336,42 @@ class _Parser:
             raise self.error(f"expression nested deeper than {MAX_NESTING} levels")
         name = tok[1]
         self.i += 1
-        if name in _ATOMS:
-            return _ATOMS[name]()
+        t = _NODES.get(name)
+        if t is not None and issubclass(t, _Atom):
+            return t()
         nxt = self.peek()
         if nxt is None or nxt[1] != "(":
-            raise self.error(f"unknown atom {_echo(name)}" if name not in _FUNC_NAMES else "expected '('")
+            raise self.error(f"unknown atom {_echo(name)}" if t is None else "expected '('")
         self.take("sym", "(")
+        if t is None:
+            raise ClassSyntaxError(f"unknown function {_echo(name)}", tok[2])
         self.depth += 1
-        out = self.func_body(name, tok[2])
+        out = self.func_body(t, tok[2])
         self.depth -= 1
         self.take("sym", ")")
         return out
 
-    def func_body(self, name: str, name_pos: int) -> ClassExpr:
-        if name in _PARAMS:
+    def func_body(self, t: type, name_pos: int) -> ClassExpr:
+        if issubclass(t, _Param):
             tok = self.take("int")
             try:
-                return _PARAMS[name](int(tok[1]))
+                return t(int(tok[1]))
             except ValueError as exc:
                 raise ClassSyntaxError(str(exc), tok[2]) from None
-        if name == "Av":
-            pats = [self.perm_literal()]
-            while self.peek() and self.peek()[1] == ",":
-                self.i += 1
-                pats.append(self.perm_literal())
-            try:
-                return Av(tuple(pats))
-            except ValueError as exc:
-                raise ClassSyntaxError(str(exc), name_pos) from None
-        if name in _NARIES:
-            children = [self.expr()]
-            while self.peek() and self.peek()[1] == ",":
-                self.i += 1
-                children.append(self.expr())
-            try:
-                return _NARIES[name](tuple(children))
-            except ValueError as exc:
-                raise ClassSyntaxError(str(exc), name_pos) from None
-        if name in _UNARIES:
+        if issubclass(t, _Unary):
             child = self.expr()
             if self.peek() and self.peek()[1] == ",":
-                raise self.error(f"{name} takes exactly one argument")
-            return _UNARIES[name](child)
-        raise ClassSyntaxError(f"unknown function {_echo(name)}", name_pos)
+                raise self.error(f"{t.name} takes exactly one argument")
+            return t(child)
+        item = self.perm_literal if t is Av else self.expr
+        args = [item()]
+        while self.peek() and self.peek()[1] == ",":
+            self.i += 1
+            args.append(item())
+        try:
+            return t(tuple(args))
+        except ValueError as exc:
+            raise ClassSyntaxError(str(exc), name_pos) from None
 
     def perm_literal(self) -> Permutation:
         tok = self.peek()

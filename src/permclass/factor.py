@@ -22,7 +22,6 @@ from .exprs import (
     render,
 )
 from .perms import (
-    EMPTY,
     Permutation,
     compose,
     compose_all,
@@ -57,8 +56,6 @@ class Factorization:
     factors: tuple[Factor, ...]
 
     def recompose(self) -> Permutation:
-        if not self.factors:
-            return EMPTY
         return compose_all([f.perm for f in self.factors])
 
     def verify(self, config: Config = DEFAULT_CONFIG) -> None:
@@ -95,7 +92,7 @@ def decompose_vk_hk(p: Permutation, k: int, config: Config = DEFAULT_CONFIG) -> 
     nu_vals: list[int] = []
     for chain in chains:
         nu_vals.extend(chain)
-    nu = Permutation(nu_vals) if nu_vals else EMPTY
+    nu = Permutation(nu_vals)
     eta = compose(inverse(nu), p)
     out = Factorization(p, (Factor(nu, VertK(k)), Factor(eta, HorizK(k))))
     out.verify(config)
@@ -131,7 +128,7 @@ def decompose_ik_il(p: Permutation, k: int, l: int, config: Config = DEFAULT_CON
                 ci += 1
         sigma_vals.append(v)
     sigma_vals.extend(c_vals[ci:])
-    sigma = Permutation(sigma_vals) if sigma_vals else EMPTY
+    sigma = Permutation(sigma_vals)
     tau = compose(inverse(sigma), p)
     out = Factorization(p, (Factor(sigma, IncK(k)), Factor(tau, IncK(l))))
     out.verify(config)
@@ -143,10 +140,9 @@ def decompose_l4(p: Permutation, k: int, config: Config = DEFAULT_CONFIG) -> Fac
     classes with k-1, k-2 and k-1 layers, by regrouping the first four layers."""
     if k < 4:
         raise ValueError("k must be at least 4")
-    shape = structure.layers(p)
-    if shape is None:
+    lengths = structure.layers(p)
+    if lengths is None:
         raise structure.NotLayeredError(f"{to_text(p)} is not layered")
-    lengths = shape.lengths
     if len(lengths) > k:
         raise ValueError(f"{to_text(p)} has more than {k} layers")
     n = len(p)
@@ -194,7 +190,7 @@ def decompose_thm52(
     beta = decreasing(beta_len)
     a_vals, c_vals = structure.jv_split(p, alpha, beta, gamma)
     nu_vals = list(a_vals) + list(c_vals)
-    nu = Permutation(nu_vals) if nu_vals else EMPTY
+    nu = Permutation(nu_vals)
     eta = compose(inverse(nu), p)
     ab = direct_sum(alpha, beta)
     bg = direct_sum(beta, gamma)

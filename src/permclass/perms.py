@@ -254,5 +254,4 @@ def lds(p: Permutation) -> int:
 
 def all_perms(n: int) -> Iterator[Permutation]:
     """All permutations of order n in lexicographic order."""
-    for vals in itertools.permutations(range(1, n + 1)):
-        yield Permutation(vals)
+    yield from map(Permutation._trusted, itertools.permutations(range(1, n + 1)))

@@ -10,7 +10,7 @@ greedy pass), so outputs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .perms import (
     EMPTY,
@@ -35,41 +35,33 @@ class SplitContractError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LayerShape:
-    """Left-to-right layer lengths of a layered permutation."""
-
-    lengths: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(l < 1 for l in self.lengths):
-            raise ValueError("layer lengths must be positive")
-
-
-@dataclass(frozen=True)
 class Coloring:
     """Per-position part assignment (1-based part indices)."""
 
     assignment: tuple[int, ...]
 
 
-def layers(p: Permutation) -> Optional[LayerShape]:
-    """The unique layer shape of p if p is a sum of decreasing runs, else None."""
-    vals = p.values
+def layers(p: Iterable[int]) -> Optional[tuple[int, ...]]:
+    """The left-to-right layer lengths of p, a Permutation or any iterable of
+    its values (such as their bytes), if p is a sum of decreasing runs, else
+    None.  One pass: each layer starts above every earlier value and steps down
+    by one to the least value it may hold, one more than the entries before it."""
     lengths = []
-    base = 0
-    i = 0
-    n = len(vals)
-    while i < n:
-        size = vals[i] - base
-        if size < 1 or i + size > n:
-            return None
-        for off in range(size):
-            if vals[i + off] != base + size - off:
+    base = top = nxt = 0  # entries before the layer, its first value, the next value it needs
+    for v in p:
+        if nxt:
+            if v != nxt:
                 return None
-        lengths.append(size)
-        base += size
-        i += size
-    return LayerShape(tuple(lengths))
+        elif v > base:
+            top = v
+        else:
+            return None
+        if v == base + 1:
+            lengths.append(top - base)
+            base, nxt = top, 0
+        else:
+            nxt = v - 1
+    return None if nxt else tuple(lengths)
 
 
 def min_blocks(p: Permutation) -> int:
@@ -97,11 +89,11 @@ def gamma_pattern(c: int) -> Permutation:
 
 def normalize_short_layers(p: Permutation, threshold: int) -> Permutation:
     """Flip every layer of length <= threshold into an increasing run, in place."""
-    shape = layers(p)
-    if shape is None:
+    lengths = layers(p)
+    if lengths is None:
         raise NotLayeredError(f"{p} is not layered")
     parts = []
-    for length in shape.lengths:
+    for length in lengths:
         if length <= threshold:
             parts.append(Permutation(range(1, length + 1)))
         else:

@@ -197,8 +197,14 @@ def node_types(expr):
     return {type(expr)}.union(*map(node_types, children))
 
 
+def leaf_subclasses(t):
+    """The subclasses of t, at any depth, that have none of their own."""
+    subs = t.__subclasses__()
+    return set().union(*map(leaf_subclasses, subs)) if subs else {t}
+
+
 def test_every_node_type_has_one_rule_and_a_test_expression():
-    node_classes = set(ClassExpr.__subclasses__())
+    node_classes = leaf_subclasses(ClassExpr)
     assert len(node_classes) == 20
     assert set(_RULES) == node_classes
     assert set().union(*(node_types(parse_class(t)) for t in EVERY_NODE_TYPE)) == node_classes
@@ -314,10 +320,11 @@ def member_filtered_growth(expr, n, cache):
 
 
 def test_generating_tree_growth_matches_member_filtered_growth():
-    # Ik(k) and Dk(k) grow by their generating tree, asking member nothing;
+    # Ik(k) and Dk(k), and I and D through the k = 1 rows, grow by their
+    # generating tree, asking member nothing;
     # each order must equal the member-filtered extensions of the one below.
     cases = [(f"{kind}({k})", 8) for kind in ("Ik", "Dk") for k in range(6)]
-    cases += [("Ik(4)", 9), ("Dk(3)", 9)]
+    cases += [("Ik(4)", 9), ("Dk(3)", 9), ("I", 9), ("D", 9)]
     for text, top in cases:
         expr, cache = parse_class(text), SliceCache()
         for n in range(top + 1):
@@ -334,7 +341,9 @@ def test_generating_tree_growth_asks_member_only_about_the_empty_permutation(mon
     cache = SliceCache()
     assert len(class_slice(parse_class("Ik(3)"), 7, cache=cache)) == 2761
     assert len(class_slice(parse_class("Dk(2)"), 7, cache=cache)) == 429
-    assert asked == [("Ik(3)", 0), ("Dk(2)", 0)]
+    assert len(class_slice(parse_class("I"), 7, cache=cache)) == 1
+    assert len(class_slice(parse_class("D"), 7, cache=cache)) == 1
+    assert asked == [("Ik(3)", 0), ("Dk(2)", 0), ("I", 0), ("D", 0)]
 
 
 def test_generating_tree_growth_past_the_candidate_limit_raises_before_any_child(monkeypatch):

@@ -131,20 +131,32 @@ def test_nesting_limit():
 
 
 def test_node_validation():
-    with pytest.raises(ValueError):
+    # One node of each kind, with its message.
+    with pytest.raises(ValueError, match=r"^Ik requires k >= 0$"):
         IncK(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Lk requires k >= 1$"):
         LayeredK(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^comp requires at least 2 children$"):
         Comp((Inc(),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^merge requires at least 2 children$"):
         Merge((Dec(),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^V requires at least 1 children$"):
         Vert(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Av requires at least one pattern$"):
         Av(())
+    with pytest.raises(ClassSyntaxError, match=r"^Lk requires k >= 1 \(at position 3\)$"):
+        parse_class("Lk(0)")
+    with pytest.raises(ClassSyntaxError, match=r"^comp requires at least 2 children \(at position 0\)$"):
+        parse_class("comp(I)")
+    with pytest.raises(ClassSyntaxError, match=r"^rev takes exactly one argument \(at position 5\)$"):
+        parse_class("rev(I,D)")
+    with pytest.raises(ClassSyntaxError, match=r"^unknown atom 'Bogus' \(at position 5\)$"):
+        parse_class("Bogus")
+    with pytest.raises(ClassSyntaxError, match=r"^unknown function 'Bogus' \(at position 0\)$"):
+        parse_class("Bogus(I)")
     # valid edge shapes
     assert IncK(0).k == 0
+    assert LayeredK(1).k == 1
     assert Vert((Inc(),)).children == (Inc(),)
     assert Horiz((Inc(),)).children == (Inc(),)
 

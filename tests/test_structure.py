@@ -19,7 +19,6 @@ from permclass.perms import (
 )
 from permclass.structure import (
     Coloring,
-    LayerShape,
     NotLayeredError,
     SplitContractError,
     _compositions,
@@ -41,25 +40,20 @@ def member_tests(*constraints):
 
 
 def test_layers_oracles():
-    assert layers(from_text("2143")).lengths == (2, 2)
-    assert layers(from_text("13245")).lengths == (1, 2, 1, 1)
-    assert layers(from_text("321")).lengths == (3,)
-    assert layers(from_text("231")) is None
-    assert layers(EMPTY).lengths == ()
+    # A Permutation and the bytes of its values read alike.
+    for text, lengths in [("2143", (2, 2)), ("13245", (1, 2, 1, 1)), ("321", (3,)), ("231", None)]:
+        p = from_text(text)
+        assert layers(p) == layers(bytes(p.values)) == lengths, text
+    assert layers(EMPTY) == layers(b"") == ()
 
 
 def test_layers_roundtrip():
     for n in range(0, 7):
         for p in all_perms(n):
-            shape = layers(p)
-            if shape is not None:
-                assert direct_sum_all(decreasing(l) for l in shape.lengths) == p
-
-
-def test_layer_shape_validation():
-    with pytest.raises(ValueError):
-        LayerShape((1, 0))
-    assert LayerShape((2, 1)).lengths == (2, 1)
+            lengths = layers(p)
+            assert layers(bytes(p.values)) == lengths
+            if lengths is not None:
+                assert direct_sum_all(decreasing(l) for l in lengths) == p
 
 
 def test_min_blocks_oracles():
