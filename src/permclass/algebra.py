@@ -36,14 +36,9 @@ class ResourceLimitError(RuntimeError):
     """An operation would exceed the order cap or a work limit."""
 
 
-@dataclass(frozen=True)
-class Config:
-    """The largest order a slice or a membership search may reach; override per call."""
-
-    max_order: int = 11
-
-
-DEFAULT_CONFIG = Config()
+# The order cap: the largest order a slice or a membership search may reach,
+# unless a caller passes its own max_order.
+MAX_ORDER = 11
 
 # Work limits, each checked before the loop it bounds starts.  Growth must admit
 # Ik(4) at order 10 (2,618,080 candidates) and refuse All there (3,628,800); a
@@ -111,14 +106,14 @@ _GLOBAL_CACHE = SliceCache()
 def member(
     expr: ClassExpr,
     p: Permutation,
-    config: Config = DEFAULT_CONFIG,
+    max_order: int = MAX_ORDER,
     cache: Optional[SliceCache] = None,
 ) -> bool:
     """Decide p in the class denoted by expr, exactly."""
-    return _RULES[type(expr)].member(expr, p, config, cache)
+    return _RULES[type(expr)].member(expr, p, max_order, cache)
 
 
-def member_independent(expr: ClassExpr, p: Permutation, config: Config = DEFAULT_CONFIG) -> bool:
+def member_independent(expr: ClassExpr, p: Permutation, max_order: int = MAX_ORDER) -> bool:
     """Cache-bypassing membership used to re-verify witnesses.
 
     Compositions are decided by iterating the rightmost factor's slice instead
@@ -129,11 +124,11 @@ def member_independent(expr: ClassExpr, p: Permutation, config: Config = DEFAULT
         head = expr.children[0] if len(expr.children) == 2 else Comp(expr.children[:-1])
         last = expr.children[-1]
         scratch = SliceCache()
-        for q in class_slice(last, n, config, scratch):
-            if member_independent(head, compose(p, inverse(q)), config):
+        for q in class_slice(last, n, max_order, scratch):
+            if member_independent(head, compose(p, inverse(q)), max_order):
                 return True
         return False
-    return member(expr, p, config, cache=SliceCache())
+    return member(expr, p, max_order, cache=SliceCache())
 
 
 def _descents(p: Permutation) -> int:
@@ -144,21 +139,21 @@ def _descents(p: Permutation) -> int:
 def class_slice(
     expr: ClassExpr,
     n: int,
-    config: Config = DEFAULT_CONFIG,
+    max_order: int = MAX_ORDER,
     cache: Optional[SliceCache] = None,
 ) -> ClassSlice:
     """The exact member set of the class at order n (lexicographic iteration)."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if n > config.max_order:
-        raise ResourceLimitError(f"enumeration at order {n} exceeds cap {config.max_order}")
+    if n > max_order:
+        raise ResourceLimitError(f"enumeration at order {n} exceeds cap {max_order}")
     if n > MAX_SLICE_ORDER:
         raise ResourceLimitError(f"slice at order {n} exceeds the limit {MAX_SLICE_ORDER}")
     store = cache if cache is not None else _GLOBAL_CACHE
     key = (canonical_render(expr), n)
     build = _RULES[type(expr)].slice or _grow
     return store.get_or_compute(
-        key, lambda: ClassSlice(n, frozenset(build(expr, n, config, store)))
+        key, lambda: ClassSlice(n, frozenset(build(expr, n, max_order, store)))
     )
 
 
@@ -187,7 +182,7 @@ def _extensions(
                 yield cand
 
 
-def _grow(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> Iterator[bytes]:
+def _grow(expr: ClassExpr, n: int, max_order: int, cache: SliceCache) -> Iterator[bytes]:
     """The extensions of the order-(n-1) slice: those its row admits, or else
     those that `member` accepts.
 
@@ -195,20 +190,20 @@ def _grow(expr: ClassExpr, n: int, config: Config, cache: SliceCache) -> Iterato
     so every build finds the order below it cached: no recursion in n.
     """
     if n == 0:
-        return {b""} if member(expr, EMPTY, config, cache) else set()
+        return {b""} if member(expr, EMPTY, max_order, cache) else set()
     key, low = canonical_render(expr), n - 1
     while low > 0 and (key, low - 1) not in cache:
         low -= 1
     for m in range(low, n):
-        below = class_slice(expr, m, config, cache)
+        below = class_slice(expr, m, max_order, cache)
     admits = _RULES[type(expr)].admits
     if admits:
         return _extensions(below.members, n, partial(admits, expr))
     candidates, probes = tee(_extensions(below.members, n))
-    return compress(candidates, (member(expr, p, config, cache) for p in _perms(probes)))
+    return compress(candidates, (member(expr, p, max_order, cache) for p in _perms(probes)))
 
 
-def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) -> set[Permutation]:
+def basis_up_to(expr: ClassExpr, max_len: int, max_order: int = MAX_ORDER) -> set[Permutation]:
     """All containment-minimal non-members of length <= max_len.
 
     The empty permutation is one exactly when the class is empty.  Deleting the
@@ -218,32 +213,32 @@ def basis_up_to(expr: ClassExpr, max_len: int, config: Config = DEFAULT_CONFIG) 
     limit is refused up front, before the loop over lengths.
     """
     if max_len:
-        top = class_slice(expr, max_len - 1, config)
+        top = class_slice(expr, max_len - 1, max_order)
         _check_work(max_len, len(top) * max_len, MAX_CANDIDATES, "growth candidates")
-    basis = set() if member(expr, EMPTY, config) else {EMPTY}
+    basis = set() if member(expr, EMPTY, max_order) else {EMPTY}
     for n in range(1, max_len + 1):
-        prev = class_slice(expr, n - 1, config).members
+        prev = class_slice(expr, n - 1, max_order).members
         minimal = (
             vals
             for vals in _extensions(prev, n)
             if all((vals[:i] + vals[i + 1 :]).translate(_DOWN[vals[i]]) in prev for i in range(n))
         )
-        basis.update(p for p in _perms(minimal) if not member(expr, p, config))
+        basis.update(p for p in _perms(minimal) if not member(expr, p, max_order))
     return basis
 
 
 def _split(
-    factors: Sequence[ClassExpr], n: int, config: Config, cache: SliceCache
+    factors: Sequence[ClassExpr], n: int, max_order: int, cache: SliceCache
 ) -> tuple[AbstractSet[bytes], AbstractSet[bytes]]:
     """(left, acc): the first factor's members and the partial product of the
     others, built right to left from the same batches.  The pair limit of each
     level is checked before its first batch."""
     first, *others = factors
     if len(others) == 1:
-        acc = class_slice(others[0], n, config, cache).members
+        acc = class_slice(others[0], n, max_order, cache).members
     else:
-        acc = set(chain.from_iterable(_batches(*_split(others, n, config, cache), n)))
-    left = class_slice(first, n, config, cache).members
+        acc = set(chain.from_iterable(_batches(*_split(others, n, max_order, cache), n)))
+    left = class_slice(first, n, max_order, cache).members
     _check_work(n, len(left) * len(acc), MAX_PAIRS, "product pairs")
     return left, acc
 
@@ -256,8 +251,8 @@ def _batches(left: Iterable[bytes], acc: Iterable[bytes], n: int) -> Iterator[It
     return (map(bytes.translate, acc, repeat(b"\0" + a + pad)) for a in left)
 
 
-def _compose_slice(expr: Comp, n: int, config: Config, cache: SliceCache) -> Iterable[bytes]:
-    return chain.from_iterable(_batches(*_split(expr.children, n, config, cache), n))
+def _compose_slice(expr: Comp, n: int, max_order: int, cache: SliceCache) -> Iterable[bytes]:
+    return chain.from_iterable(_batches(*_split(expr.children, n, max_order, cache), n))
 
 
 def _per_member_pays(rest: int, batches_left: int) -> bool:
@@ -266,7 +261,7 @@ def _per_member_pays(rest: int, batches_left: int) -> bool:
 
 
 def first_non_product(
-    expr: Comp, lhs: ClassSlice, config: Config = DEFAULT_CONFIG
+    expr: Comp, lhs: ClassSlice, max_order: int = MAX_ORDER
 ) -> Optional[Permutation]:
     """The lexicographically first member of the slice lhs that is not in the
     product class expr, or None.
@@ -280,7 +275,7 @@ def first_non_product(
     if not lhs:
         return None
     n = lhs.order
-    left, acc = _split(expr.children, n, config, _GLOBAL_CACHE)
+    left, acc = _split(expr.children, n, max_order, _GLOBAL_CACHE)
     rest = set(lhs.members)
     for done, batch in enumerate(_batches(left, acc, n)):
         if _per_member_pays(len(rest), len(left) - done):
@@ -297,9 +292,9 @@ def first_non_product(
     return next(_perms(compress(ordered, map(left.isdisjoint, tests))), None)
 
 
-def count(expr: ClassExpr, n_max: int, config: Config = DEFAULT_CONFIG) -> list[int]:
+def count(expr: ClassExpr, n_max: int, max_order: int = MAX_ORDER) -> list[int]:
     """Member counts for orders 1..n_max."""
-    return [len(class_slice(expr, n, config)) for n in range(1, n_max + 1)]
+    return [len(class_slice(expr, n, max_order)) for n in range(1, n_max + 1)]
 
 
 def slice_cache() -> SliceCache:
@@ -308,8 +303,8 @@ def slice_cache() -> SliceCache:
 
 
 class _Rule(NamedTuple):
-    """A node type's semantics: `member(expr, p, config, cache)`, and `slice(expr,
-    n, config, cache)` deriving the order-n members from the children's slices
+    """A node type's semantics: `member(expr, p, max_order, cache)`, and
+    `slice(expr, n, max_order, cache)` deriving the order-n members from the children's slices
     (None: grown from order n-1).  Both recurse through the module-level names.
 
     A grown row may set `admits(expr, q)`: for the byte string q of a member of
@@ -365,9 +360,9 @@ def _dec_k_admits(e: exprs.DecK | exprs.Dec, q: bytes) -> range:
 def _mapped(f: Callable[[Permutation], Permutation]) -> _Rule:
     """rev/cpl/inv: the image of the child class under the involution f."""
     return _Rule(
-        lambda e, p, config, cache: member(e.child, f(p), config, cache),
-        lambda e, n, config, cache: {
-            bytes(f(p).values) for p in _perms(class_slice(e.child, n, config, cache).members)
+        lambda e, p, *args: member(e.child, f(p), *args),
+        lambda e, n, *args: {
+            bytes(f(p).values) for p in _perms(class_slice(e.child, n, *args).members)
         },
     )
 
@@ -375,10 +370,8 @@ def _mapped(f: Callable[[Permutation], Permutation]) -> _Rule:
 def _boolean(quantifier, combine) -> _Rule:
     """and/or: p lies in all/any of the children; the slice combines theirs."""
     return _Rule(
-        lambda e, p, config, cache: quantifier(member(c, p, config, cache) for c in e.children),
-        lambda e, n, config, cache: combine(
-            *(class_slice(c, n, config, cache).members for c in e.children)
-        ),
+        lambda e, p, *args: quantifier(member(c, p, *args) for c in e.children),
+        lambda e, n, *args: combine(*(class_slice(c, n, *args).members for c in e.children)),
     )
 
 
@@ -404,15 +397,15 @@ def _layered(accept: Callable[[ClassExpr, tuple[int, ...]], bool]) -> _Rule:
     return _Rule(rule, admits=admits)
 
 
-def _part_tests(e: ClassExpr, config: Config, cache) -> list[structure.PartTest]:
+def _part_tests(e: ClassExpr, max_order: int, cache) -> list[structure.PartTest]:
     """V/H/merge: one membership test per child, for the split searches."""
-    return [partial(member, c, config=config, cache=cache) for c in e.children]
+    return [partial(member, c, max_order=max_order, cache=cache) for c in e.children]
 
 
-def _merge_member(e: exprs.Merge, p: Permutation, config: Config, cache) -> bool:
-    if len(p) > config.max_order:
-        raise ResourceLimitError(f"merge membership at order {len(p)} exceeds cap {config.max_order}")
-    return structure.merge_split(p, _part_tests(e, config, cache)) is not None
+def _merge_member(e: exprs.Merge, p: Permutation, max_order: int, cache) -> bool:
+    if len(p) > max_order:
+        raise ResourceLimitError(f"merge membership at order {len(p)} exceeds cap {max_order}")
+    return structure.merge_split(p, _part_tests(e, max_order, cache)) is not None
 
 
 # I and D are Ik(1) and Dk(1): they share these rows, which read k = 1 off them.

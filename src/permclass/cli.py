@@ -16,15 +16,7 @@ import sys
 from typing import Callable, Optional
 
 from . import factor, harness
-from .algebra import (
-    Config,
-    DEFAULT_CONFIG,
-    ResourceLimitError,
-    basis_up_to,
-    class_slice,
-    count,
-    member,
-)
+from .algebra import MAX_ORDER, ResourceLimitError, basis_up_to, class_slice, count, member
 from .exprs import ClassSyntaxError, parse_class, render
 from .perms import Permutation, compose_all, from_text, to_text
 
@@ -83,6 +75,7 @@ def _emit(payload: dict, args) -> None:
 
 
 def _env_cap() -> Optional[int]:
+    """PERMCLASS_MAX_N, an order cap over every subcommand, or None when unset."""
     env = os.environ.get("PERMCLASS_MAX_N")
     if env is None:
         return None
@@ -92,22 +85,15 @@ def _env_cap() -> Optional[int]:
         raise _UsageError(f"PERMCLASS_MAX_N must be an integer >= 0, got {_excerpt(env, 0)}") from None
 
 
-def _global_cap(args) -> Optional[int]:
-    caps = [c for c in (_env_cap(), getattr(args, "max_n", None)) if c is not None]
-    return min(caps) if caps else None
+def _tighter(cap: Optional[int], env_cap: Optional[int]) -> Optional[int]:
+    """The smaller of two caps, either of which may be absent (None)."""
+    return cap if env_cap is None else env_cap if cap is None else min(cap, env_cap)
 
 
-def _config(args) -> Config:
-    cap = _env_cap()
-    if cap is None:
-        return DEFAULT_CONFIG
-    return Config(max_order=min(DEFAULT_CONFIG.max_order, cap))
-
-
-def _cmd_member(args) -> int:
+def _cmd_member(args, env_cap: Optional[int]) -> int:
     expr = _parse_expr(args.cls)
     p = _parse_perm(args.perm)
-    verdict = member(expr, p, _config(args))
+    verdict = member(expr, p, _tighter(MAX_ORDER, env_cap))
     if args.format == "json":
         _emit({"class": render(expr), "perm": _perm_json(p), "member": verdict}, args)
     else:
@@ -115,9 +101,9 @@ def _cmd_member(args) -> int:
     return EXIT_OK
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args, env_cap: Optional[int]) -> int:
     expr = _parse_expr(args.cls)
-    members = list(class_slice(expr, args.n, _config(args)))
+    members = list(class_slice(expr, args.n, _tighter(MAX_ORDER, env_cap)))
     if args.format == "json":
         _emit(
             {"class": render(expr), "n": args.n, "members": [_perm_json(p) for p in members]},
@@ -129,9 +115,9 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args, env_cap: Optional[int]) -> int:
     expr = _parse_expr(args.cls)
-    counts = count(expr, args.max_n, _config(args))
+    counts = count(expr, args.max_n, _tighter(MAX_ORDER, env_cap))
     if args.format == "json":
         _emit({"class": render(expr), "max_n": args.max_n, "counts": counts}, args)
     else:
@@ -140,9 +126,10 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _cmd_basis(args) -> int:
+def _cmd_basis(args, env_cap: Optional[int]) -> int:
     expr = _parse_expr(args.cls)
-    basis = sorted(basis_up_to(expr, args.max_len, _config(args)), key=lambda p: (len(p), p))
+    basis = basis_up_to(expr, args.max_len, _tighter(MAX_ORDER, env_cap))
+    basis = sorted(basis, key=lambda p: (len(p), p))
     if args.format == "json":
         _emit(
             {"class": render(expr), "max_len": args.max_len, "basis": [_perm_json(p) for p in basis]},
@@ -154,7 +141,7 @@ def _cmd_basis(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compose_perms(args) -> int:
+def _cmd_compose_perms(args, env_cap: Optional[int]) -> int:
     perms = [_parse_perm(t) for t in args.perms]
     lengths = {len(p) for p in perms}
     if len(lengths) > 1:
@@ -167,20 +154,19 @@ def _cmd_compose_perms(args) -> int:
     return EXIT_OK
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args, env_cap: Optional[int]) -> int:
     p = _parse_perm(args.perm)
-    config = _config(args)
     try:
         if args.method == "vkhk":
-            result = factor.decompose_vk_hk(p, args.k, config)
+            result = factor.decompose_vk_hk(p, args.k)
         elif args.method == "ikil":
-            result = factor.decompose_ik_il(p, args.k, args.l, config)
+            result = factor.decompose_ik_il(p, args.k, args.l)
         elif args.method == "l4":
-            result = factor.decompose_l4(p, args.k, config)
+            result = factor.decompose_l4(p, args.k)
         else:
             alpha = _parse_perm(args.alpha)
             gamma = _parse_perm(args.gamma)
-            result = factor.decompose_thm52(p, alpha, args.beta_len, gamma, config)
+            result = factor.decompose_thm52(p, alpha, args.beta_len, gamma)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
@@ -192,10 +178,11 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _cmd_include(args) -> int:
+def _cmd_include(args, env_cap: Optional[int]) -> int:
     lhs = _parse_expr(args.lhs)
     rhs = _parse_expr(args.rhs)
-    report = harness.check_inclusion(lhs, rhs, range(1, args.max_n + 1), _config(args))
+    orders = range(1, args.max_n + 1)
+    report = harness.check_inclusion(lhs, rhs, orders, _tighter(MAX_ORDER, env_cap))
     if args.format == "json":
         _emit(report.to_json(), args)
     else:
@@ -214,13 +201,13 @@ def _cmd_include(args) -> int:
     return EXIT_OK
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args, env_cap: Optional[int]) -> int:
     names = list(harness.REGISTRY) if args.names == "all" else args.names.split(",")
     names = [n.strip() for n in names if n.strip()]
     if not names:
         raise _UsageError("no check names given")
     try:
-        results = harness.run_suite(names, n_cap=_global_cap(args))
+        results = harness.run_suite(names, n_cap=_tighter(args.max_n, env_cap))
     except harness.UnknownCheckError as exc:
         # A KeyError's str() quotes its message; show it plain, but bounded.
         raise _UsageError(_excerpt(exc.args[0], 0, str)) from None
@@ -306,7 +293,7 @@ def cli_dispatch(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.run(args)
+        return args.run(args, _env_cap())
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

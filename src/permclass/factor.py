@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import structure
-from .algebra import Config, DEFAULT_CONFIG, member
+from .algebra import member
 from .exprs import (
     And,
     Av,
@@ -58,7 +58,7 @@ class Factorization:
     def recompose(self) -> Permutation:
         return compose_all([f.perm for f in self.factors])
 
-    def verify(self, config: Config = DEFAULT_CONFIG) -> None:
+    def verify(self) -> None:
         """Raise FactorizationError unless recomposition and memberships hold."""
         got = self.recompose()
         if got != self.target:
@@ -66,7 +66,7 @@ class Factorization:
                 f"recomposition {to_text(got)} differs from target {to_text(self.target)}"
             )
         for f in self.factors:
-            if not member(f.cls, f.perm, config):
+            if not member(f.cls, f.perm):
                 raise FactorizationError(f"factor {to_text(f.perm)} not in {render(f.cls)}")
 
     def to_json(self) -> dict:
@@ -80,7 +80,7 @@ def _chain_values(p: Permutation) -> list[list[int]]:
     return [[p.values[i - 1] for i in chain] for chain in greedy_increasing_chains(p)]
 
 
-def decompose_vk_hk(p: Permutation, k: int, config: Config = DEFAULT_CONFIG) -> Factorization:
+def decompose_vk_hk(p: Permutation, k: int) -> Factorization:
     """Split p into a k-segment concatenation followed by a k-range interleaving.
 
     The left factor concatenates the canonical increasing chains of p; the
@@ -95,11 +95,11 @@ def decompose_vk_hk(p: Permutation, k: int, config: Config = DEFAULT_CONFIG) -> 
     nu = Permutation(nu_vals)
     eta = compose(inverse(nu), p)
     out = Factorization(p, (Factor(nu, VertK(k)), Factor(eta, HorizK(k))))
-    out.verify(config)
+    out.verify()
     return out
 
 
-def decompose_ik_il(p: Permutation, k: int, l: int, config: Config = DEFAULT_CONFIG) -> Factorization:
+def decompose_ik_il(p: Permutation, k: int, l: int) -> Factorization:
     """Write p, coverable by k+l-1 increasing chains, as a product of a k-chain
     and an l-chain permutation.
 
@@ -131,11 +131,11 @@ def decompose_ik_il(p: Permutation, k: int, l: int, config: Config = DEFAULT_CON
     sigma = Permutation(sigma_vals)
     tau = compose(inverse(sigma), p)
     out = Factorization(p, (Factor(sigma, IncK(k)), Factor(tau, IncK(l))))
-    out.verify(config)
+    out.verify()
     return out
 
 
-def decompose_l4(p: Permutation, k: int, config: Config = DEFAULT_CONFIG) -> Factorization:
+def decompose_l4(p: Permutation, k: int) -> Factorization:
     """Factor a layered permutation with at most k >= 4 layers through layered
     classes with k-1, k-2 and k-1 layers, by regrouping the first four layers."""
     if k < 4:
@@ -168,16 +168,12 @@ def decompose_l4(p: Permutation, k: int, config: Config = DEFAULT_CONFIG) -> Fac
             Factor(f3, LayeredK(k - 1)),
         )
     out = Factorization(p, factors)
-    out.verify(config)
+    out.verify()
     return out
 
 
 def decompose_thm52(
-    p: Permutation,
-    alpha: Permutation,
-    beta_len: int,
-    gamma: Permutation,
-    config: Config = DEFAULT_CONFIG,
+    p: Permutation, alpha: Permutation, beta_len: int, gamma: Permutation
 ) -> Factorization:
     """Factor an avoider of alpha + (decreasing run) + gamma into a two-segment
     concatenation and a two-range interleaving, via the guaranteed value split.
@@ -201,5 +197,5 @@ def decompose_thm52(
         whole = direct_sum(ab, gamma)
         left = And((vert, Av((whole,))))
     out = Factorization(p, (Factor(nu, left), Factor(eta, HorizK(2))))
-    out.verify(config)
+    out.verify()
     return out

@@ -14,8 +14,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import factor, structure
 from .algebra import (
-    Config,
-    DEFAULT_CONFIG,
+    MAX_ORDER,
     ResourceLimitError,
     _batches,
     basis_up_to,
@@ -155,7 +154,7 @@ def check_inclusion(
     lhs: ClassExpr,
     rhs: ClassExpr,
     n_range: Iterable[int],
-    config: Config = DEFAULT_CONFIG,
+    max_order: int = MAX_ORDER,
 ) -> InclusionReport:
     """For each order, test every LHS member for RHS membership; the earliest
     (lexicographic) witness is reported on failure and re-verified cache-free.
@@ -166,14 +165,14 @@ def check_inclusion(
     each member in order, up to the first failure."""
 
     def verdict(n: int) -> Verdict:
-        lhs_slice = class_slice(lhs, n, config)
+        lhs_slice = class_slice(lhs, n, max_order)
         if isinstance(rhs, Comp):
-            w = first_non_product(rhs, lhs_slice, config)
+            w = first_non_product(rhs, lhs_slice, max_order)
         else:
-            w = next((p for p in lhs_slice if not member(rhs, p, config)), None)
+            w = next((p for p in lhs_slice if not member(rhs, p, max_order)), None)
         if w is None:
             return Verdict("holds")
-        if member_independent(rhs, w, config):
+        if member_independent(rhs, w, max_order):
             raise RuntimeError(f"witness {to_text(w)} did not re-verify; cache inconsistency")
         return Verdict("fails", witness=w)
 
@@ -185,13 +184,13 @@ def _compare(
     lhs_members: Callable[[int], Iterable[Permutation]],
     rhs: ClassExpr,
     n_range: Iterable[int],
-    config: Config,
+    max_order: int,
 ) -> InclusionReport:
     """Set equality of lhs_members(n) with the rhs slice per order; the witness
     is the lexicographically smallest element of the symmetric difference."""
 
     def verdict(n: int) -> Verdict:
-        diff = set(lhs_members(n)).symmetric_difference(class_slice(rhs, n, config))
+        diff = set(lhs_members(n)).symmetric_difference(class_slice(rhs, n, max_order))
         return Verdict("fails", witness=min(diff)) if diff else Verdict("holds")
 
     return _per_order(InclusionReport(lhs, rhs), n_range, verdict)
@@ -201,20 +200,20 @@ def check_equality(
     a: ClassExpr,
     b: ClassExpr,
     n_range: Iterable[int],
-    config: Config = DEFAULT_CONFIG,
+    max_order: int = MAX_ORDER,
 ) -> InclusionReport:
     """Slice-level set equality per order; the witness is the lexicographically
     smallest element of the symmetric difference."""
-    return _compare(a, lambda n: class_slice(a, n, config), b, n_range, config)
+    return _compare(a, lambda n: class_slice(a, n, max_order), b, n_range, max_order)
 
 
-def search_m(k: int, l: int, n_max: int, config: Config = DEFAULT_CONFIG) -> MSearchReport:
+def search_m(k: int, l: int, n_max: int, max_order: int = MAX_ORDER) -> MSearchReport:
     """Finite evidence for the inclusion of m-chain classes in the composition of
     the k- and l-chain classes, for m between k+l-1 and k*l."""
     report = MSearchReport(k, l)
     rhs = Comp((IncK(k), IncK(l)))
     for m in range(k + l - 1, k * l + 1):
-        report.per_m[m] = check_inclusion(IncK(m), rhs, range(1, n_max + 1), config)
+        report.per_m[m] = check_inclusion(IncK(m), rhs, range(1, n_max + 1), max_order)
     return report
 
 
@@ -233,7 +232,9 @@ def _all_interleavings(segments: list[tuple[int, ...]]) -> Iterable[tuple[int, .
         yield tuple(out)
 
 
-def behaviour_closure(a_expr: ClassExpr, k: int, variant: str, n: int, config: Config = DEFAULT_CONFIG) -> set[Permutation]:
+def behaviour_closure(
+    a_expr: ClassExpr, k: int, variant: str, n: int, max_order: int = MAX_ORDER
+) -> set[Permutation]:
     """Direct construction of the order-n slice obtained by dividing members of
     the class into at most k pieces per the variant and recombining:
 
@@ -244,7 +245,7 @@ def behaviour_closure(a_expr: ClassExpr, k: int, variant: str, n: int, config: C
     if variant not in ("V", "H", "I"):
         raise ValueError(f"unknown variant {variant!r}")
     out: set[Permutation] = set()
-    for alpha in class_slice(a_expr, n, config):
+    for alpha in class_slice(a_expr, n, max_order):
         vals = alpha.values
         if variant == "H":
             for comp in structure._compositions(n, k):
@@ -268,13 +269,13 @@ def check_behaviour(
     k: int,
     variant: str,
     n_range: Iterable[int],
-    config: Config = DEFAULT_CONFIG,
+    max_order: int = MAX_ORDER,
 ) -> InclusionReport:
     """Compare the directly built recombination closure against the composition
     with the matching k-parameter atom, order by order."""
     atom = {"V": VertK, "H": HorizK, "I": IncK}[variant](k)
-    direct = functools.partial(behaviour_closure, a_expr, k, variant, config=config)
-    return _compare(a_expr, direct, Comp((a_expr, atom)), n_range, config)
+    direct = functools.partial(behaviour_closure, a_expr, k, variant, max_order=max_order)
+    return _compare(a_expr, direct, Comp((a_expr, atom)), n_range, max_order)
 
 
 class UnknownCheckError(KeyError):
@@ -283,9 +284,10 @@ class UnknownCheckError(KeyError):
 
 # ---------------------------------------------------------------------------
 # Registry checks.  A check is a row of REGISTRY; its body takes the check's
-# order cap and a config whose max_order is that cap (DEFAULT_CONFIG for a
-# check without one), and returns an Outcome.  A ResourceLimitError out of a
-# body skips the check; run_suite derives everything else.
+# order cap (None for a check without one), which is also the max_order of
+# every slice and membership search it asks for, and returns an Outcome.  A
+# ResourceLimitError out of a body skips the check; run_suite derives
+# everything else.
 # ---------------------------------------------------------------------------
 
 
@@ -309,7 +311,7 @@ class Check:
     name: str
     cap: Optional[int]
     params: dict
-    body: Callable[[Optional[int], Config], Outcome]
+    body: Callable[[Optional[int]], Outcome]
     cap_key: str = "max_n"
 
 
@@ -322,38 +324,34 @@ def _slice_pairs(*pairs: tuple[str, str], equal: bool = False):
     lies inside rhs, or that the two are equal."""
     parsed = [(parse_class(a), parse_class(b)) for a, b in pairs]
 
-    def body(cap: int, config: Config) -> Outcome:
+    def body(cap: int) -> Outcome:
         check = check_equality if equal else check_inclusion
-        return Outcome(reports=[check(a, b, _orders(cap), config) for a, b in parsed])
+        return Outcome(reports=[check(a, b, _orders(cap), cap) for a, b in parsed])
 
     return body
 
 
-def _failures(lines: Callable[[Optional[int], Config], Iterable[str]]):
-    """Body whose outcome is just the failure lines that lines(cap, config) yields."""
-    return lambda cap, config: Outcome(list(lines(cap, config)))
+def _failures(lines: Callable[[Optional[int]], Iterable[str]]):
+    """Body whose outcome is just the failure lines that lines(cap) yields."""
+    return lambda cap: Outcome(list(lines(cap)))
 
 
 def _factor_failures(
-    cls: ClassExpr,
-    cap: int,
-    config: Config,
-    decompose: Callable[[Permutation, Config], object],
-    label: str = "",
+    cls: ClassExpr, cap: int, decompose: Callable[[Permutation], object], label: str = ""
 ) -> Iterator[str]:
     """Factor every member of the class at orders 0..cap; one line per error."""
     for n in range(0, cap + 1):
-        for p in class_slice(cls, n, config):
+        for p in class_slice(cls, n, cap):
             try:
-                decompose(p, config)
+                decompose(p)
             except (ValueError, structure.SplitContractError, factor.FactorizationError) as exc:
                 yield f"{label}{to_text(p)}: {exc}"
 
 
-def _filter_count_failures(cls: ClassExpr, counts: list[int], config: Config) -> Iterator[str]:
+def _filter_count_failures(cls: ClassExpr, counts: list[int], cap: int) -> Iterator[str]:
     """Compare enumerated counts with counts from filtering S_n, up to order 8."""
     for n in range(1, min(8, len(counts)) + 1):
-        filtered = sum(1 for p in all_perms(n) if member(cls, p, config))
+        filtered = sum(1 for p in all_perms(n) if member(cls, p, cap))
         if filtered != counts[n - 1]:
             yield f"order {n}: filter count {filtered} != enumerated count {counts[n - 1]}"
 
@@ -362,12 +360,12 @@ def _counts(cls: ClassExpr, expected: Callable[[int], Iterable[int]]):
     """Body comparing the class's counts at orders 1..cap with expected(cap),
     then with counts from filtering S_n."""
 
-    def lines(cap: int, config: Config) -> Iterator[str]:
-        counts = count(cls, cap, config)
+    def lines(cap: int) -> Iterator[str]:
+        counts = count(cls, cap, cap)
         for n, (c, e) in enumerate(zip(counts, expected(cap)), start=1):
             if c != e:
                 yield f"order {n}: enumerated count {c} != {e}"
-        yield from _filter_count_failures(cls, counts, config)
+        yield from _filter_count_failures(cls, counts, cap)
 
     return _failures(lines)
 
@@ -405,7 +403,7 @@ def _increasing_colorable(p: Permutation, k: int) -> bool:
     return extend(0)
 
 
-def _fact_basic_equiv(cap: int, config: Config) -> Iterator[str]:
+def _fact_basic_equiv(cap: int) -> Iterator[str]:
     for k in (2, 3):
         delta = decreasing(k + 1)
         for n in range(0, cap + 1):
@@ -433,36 +431,35 @@ _SYMMETRY_CORPUS = (
 
 def _behaviour(variant: str):
     instances = [parse_class(text) for text in ("Av(21)", "Lk(1)", "Av(321)")]
-    return lambda cap, config: Outcome(
-        reports=[check_behaviour(a, 2, variant, _orders(cap), config) for a in instances]
+    return lambda cap: Outcome(
+        reports=[check_behaviour(a, 2, variant, _orders(cap), cap) for a in instances]
     )
 
 
-def _thm_ik_vkhk(cap: int, config: Config) -> Outcome:
+def _thm_ik_vkhk(cap: int) -> Outcome:
     out = Outcome()
     for k in (2, 3):
         out.failures += _factor_failures(
-            IncK(k), cap, config, lambda p, c: factor.decompose_vk_hk(p, k, c), f"k={k} "
+            IncK(k), cap, lambda p: factor.decompose_vk_hk(p, k), f"k={k} "
         )
         product = Comp((VertK(k), HorizK(k)))
-        out.reports.append(check_inclusion(IncK(k), product, _orders(cap), config))
+        out.reports.append(check_inclusion(IncK(k), product, _orders(cap), cap))
     return out
 
 
-def _thm_kl1(cap: int, config: Config) -> Outcome:
+def _thm_kl1(cap: int) -> Outcome:
     out = Outcome()
     for k, l in ((2, 2), (2, 3), (3, 2)):
         out.failures += _factor_failures(
-            IncK(k + l - 1), cap, config,
-            lambda p, c: factor.decompose_ik_il(p, k, l, c), f"(k,l)=({k},{l}) ",
+            IncK(k + l - 1), cap, lambda p: factor.decompose_ik_il(p, k, l), f"(k,l)=({k},{l}) "
         )
         product = Comp((IncK(k), IncK(l)))
-        out.reports.append(check_inclusion(IncK(k + l - 1), product, _orders(min(cap, 6)), config))
+        out.reports.append(check_inclusion(IncK(k + l - 1), product, _orders(min(cap, 6)), cap))
     return out
 
 
-def _search_m_2_2(cap: int, config: Config) -> Outcome:
-    report = search_m(2, 2, cap, config)
+def _search_m_2_2(cap: int) -> Outcome:
+    report = search_m(2, 2, cap, cap)
     m_low = report.per_m[3]
     bad = [
         f"m=3 fails at order {n}: {to_text(m_low.results[n].witness)}"
@@ -478,28 +475,28 @@ def _search_m_2_2(cap: int, config: Config) -> Outcome:
 
 
 def _thm_l4(k: int):
-    return lambda cap, config: _factor_failures(
-        LayeredK(k), cap, config, lambda p, c: factor.decompose_l4(p, k, c), f"k={k} "
+    return lambda cap: _factor_failures(
+        LayeredK(k), cap, lambda p: factor.decompose_l4(p, k), f"k={k} "
     )
 
 
 _L2_GROUP = parse_class("or(Lk(2),rev(Lk(2)))")
 
 
-def _lemma_l2_group(cap: int, config: Config) -> Outcome:
+def _lemma_l2_group(cap: int) -> Outcome:
     """The union is a group: a nonempty finite set of permutations closed under
     composition holds each g's powers, so the identity g^k and the inverse
     g^(k-1) as well.  Lk(2) alone is not closed, already at order 3."""
     product = Comp((_L2_GROUP, _L2_GROUP))
-    out = Outcome(reports=[check_inclusion(product, _L2_GROUP, _orders(cap), config)])
+    out = Outcome(reports=[check_inclusion(product, _L2_GROUP, _orders(cap), cap)])
     out.failures += [
         f"order {n}: {to_text(identity(n))} (missing identity)"
         for n in _orders(cap)
-        if identity(n) not in class_slice(_L2_GROUP, n, config)
+        if identity(n) not in class_slice(_L2_GROUP, n, cap)
     ]
     two_layer = LayeredK(2)
-    products = class_slice(Comp((two_layer, two_layer)), 3, config)
-    if products.members <= class_slice(two_layer, 3, config).members:
+    products = class_slice(Comp((two_layer, two_layer)), 3, cap)
+    if products.members <= class_slice(two_layer, 3, cap).members:
         out.failures.append("two-layer class unexpectedly closed under products at order 3")
     return out
 
@@ -507,22 +504,22 @@ def _lemma_l2_group(cap: int, config: Config) -> Outcome:
 def _thm52(alpha: str, beta_len: int, gamma: str):
     a, g = from_text(alpha), from_text(gamma)
     avoided = Av((direct_sum(direct_sum(a, decreasing(beta_len)), g),))
-    return lambda cap, config: _factor_failures(
-        avoided, cap, config, lambda p, c: factor.decompose_thm52(p, a, beta_len, g, c)
+    return lambda cap: _factor_failures(
+        avoided, cap, lambda p: factor.decompose_thm52(p, a, beta_len, g)
     )
 
 
 _H2_BASIS = tuple(map(from_text, ("321", "2143", "2413")))
 
 
-def _basis_h(cap: int, config: Config) -> Iterator[str]:
-    basis = basis_up_to(HorizK(2), cap, config)
+def _basis_h(cap: int) -> Iterator[str]:
+    basis = basis_up_to(HorizK(2), cap, cap)
     expected = {p for p in _H2_BASIS if len(p) <= cap}
     if basis != expected:
         yield f"basis {sorted(map(to_text, basis))} != {sorted(map(to_text, expected))}"
 
 
-def _lemma_blocks(cap: int, config: Config) -> Iterator[str]:
+def _lemma_blocks(cap: int) -> Iterator[str]:
     """min_blocks(p o q) <= min_blocks(p) * min_blocks(q) over S_n x S_n, with
     p the outer loop; the products come from the engine's byte-string pair loop."""
     for n in range(0, cap + 1):
@@ -536,16 +533,16 @@ def _lemma_blocks(cap: int, config: Config) -> Iterator[str]:
                     )
 
 
-def _close_n_sigma(cap: int, config: Config) -> Iterator[str]:
+def _close_n_sigma(cap: int) -> Iterator[str]:
     for n in range(1, cap + 1):
-        for p in class_slice(parse_class("L"), n, config):
+        for p in class_slice(parse_class("L"), n, cap):
             for t in (2, 3):
                 flat = structure.normalize_short_layers(p, t)
                 if not structure.is_close(p, flat, t, 0):
                     yield f"{to_text(p)} vs {to_text(flat)} not ({t},0)-close"
 
 
-def _thm_l_gamma_far(cap: Optional[int], config: Config) -> Iterator[str]:
+def _thm_l_gamma_far(cap: Optional[int]) -> Iterator[str]:
     gamma = structure.gamma_pattern(1)  # 2143
     target = direct_sum(decreasing(4), decreasing(4))
     for p in all_perms(8):
@@ -553,10 +550,10 @@ def _thm_l_gamma_far(cap: Optional[int], config: Config) -> Iterator[str]:
             yield f"{to_text(p)} avoids {to_text(gamma)} yet is (1,1)-close to target"
 
 
-def _prop_vh_blockbound(cap: int, config: Config) -> Iterator[str]:
+def _prop_vh_blockbound(cap: int) -> Iterator[str]:
     eta = from_text("14253")
     for n in range(1, cap + 1):
-        for p in class_slice(HorizK(2), n, config):
+        for p in class_slice(HorizK(2), n, cap):
             if contains(p, eta) is None and (blocks := structure.min_blocks(p)) > 6:
                 yield f"{to_text(p)} needs {blocks} blocks"
 
@@ -615,7 +612,7 @@ def _run_check(check: Check, n_cap: Optional[int]) -> SuiteResult:
     if cap is not None:
         params[check.cap_key] = cap
     try:
-        out = check.body(cap, DEFAULT_CONFIG if cap is None else Config(max_order=cap))
+        out = check.body(cap)
     except ResourceLimitError:
         return SuiteResult(check.name, params, "skip", [], time.perf_counter() - started)
     lines = [

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from permclass import algebra
 from permclass.algebra import (
     ClassSlice,
-    Config,
     ResourceLimitError,
     SliceCache,
     basis_up_to,
@@ -111,19 +110,17 @@ def test_comp_slice_matches_brute_product():
 
 def test_product_order_limit():
     # Products are built on byte strings: order 255 is the largest they hold.
-    config = Config(max_order=256)
     cache = SliceCache()
-    assert set(class_slice(parse_class("comp(D,D,D)"), 255, config, cache)) == {decreasing(255)}
+    assert set(class_slice(parse_class("comp(D,D,D)"), 255, 256, cache)) == {decreasing(255)}
     with pytest.raises(ResourceLimitError):
-        class_slice(parse_class("comp(Ik(0),Ik(0))"), 256, config, SliceCache())
+        class_slice(parse_class("comp(Ik(0),Ik(0))"), 256, 256, SliceCache())
 
 
 def test_slice_order_limit():
     # Every slice holds byte strings: past order 255 none is built, whatever its node type.
-    config = Config(max_order=256)
     with pytest.raises(ResourceLimitError, match="^slice at order 256 exceeds the limit 255$"):
-        class_slice(parse_class("I"), 256, config, SliceCache())
-    assert set(class_slice(parse_class("I"), 255, config, SliceCache())) == {identity(255)}
+        class_slice(parse_class("I"), 256, 256, SliceCache())
+    assert set(class_slice(parse_class("I"), 255, 256, SliceCache())) == {identity(255)}
 
 
 def test_slice_membership_of_another_order_is_false():
@@ -151,9 +148,8 @@ def test_high_order_growth_on_a_fresh_cache_does_not_recurse():
     # Growth builds the missing lower orders bottom up, so the stack depth
     # does not grow with the order.  Order 255, the largest a slice holds, is
     # past the interpreter's default recursion limit for a recursive build.
-    config = Config(max_order=255)
-    assert len(class_slice(parse_class("Ik(0)"), 255, config, SliceCache())) == 0
-    got = class_slice(parse_class("comp(I,D)"), 255, config, SliceCache())
+    assert len(class_slice(parse_class("Ik(0)"), 255, 255, SliceCache())) == 0
+    got = class_slice(parse_class("comp(I,D)"), 255, 255, SliceCache())
     assert set(got) == {decreasing(255)}
 
 
@@ -286,15 +282,14 @@ def test_downward_closure_of_slices():
 
 
 def test_resource_caps():
-    small = Config(max_order=3)
     with pytest.raises(ResourceLimitError, match="^enumeration at order 4 exceeds cap 3$"):
-        class_slice(parse_class("All"), 4, small, SliceCache())
+        class_slice(parse_class("All"), 4, 3, SliceCache())
     with pytest.raises(ResourceLimitError, match="^enumeration at order 4 exceeds cap 3$"):
-        member(parse_class("comp(I,D)"), from_text("4321"), small, SliceCache())
+        member(parse_class("comp(I,D)"), from_text("4321"), 3, SliceCache())
     with pytest.raises(ResourceLimitError, match="^merge membership at order 4 exceeds cap 3$"):
-        member(parse_class("merge(I,D)"), from_text("4321"), small, SliceCache())
+        member(parse_class("merge(I,D)"), from_text("4321"), 3, SliceCache())
     # non-search memberships are exact at any order
-    assert member(parse_class("Ik(2)"), from_text("53412"), small, SliceCache()) is False
+    assert member(parse_class("Ik(2)"), from_text("53412"), 3, SliceCache()) is False
 
 
 def test_growth_past_the_candidate_limit_raises_before_any_candidate(monkeypatch):
@@ -461,11 +456,10 @@ def test_basis_from_growth_matches_filtering_every_node_type():
 
 def test_basis_length_past_the_enumeration_cap_is_refused_first():
     # Length n needs the order n-1 slice, which is asked for before any other.
-    small = Config(max_order=3)
-    assert basis_up_to(parse_class("All"), 4, small) == set()
+    assert basis_up_to(parse_class("All"), 4, 3) == set()
     slice_cache().clear()
     with pytest.raises(ResourceLimitError):
-        basis_up_to(parse_class("Ik(2)"), 5, small)
+        basis_up_to(parse_class("Ik(2)"), 5, 3)
     assert ("Ik(2)", 0) not in slice_cache()
 
 

@@ -1,7 +1,7 @@
 import json
 
 from permclass import algebra, structure
-from permclass.algebra import Config, SliceCache, class_slice, member, slice_cache
+from permclass.algebra import MAX_ORDER, SliceCache, class_slice, member, slice_cache
 from permclass.exprs import canonical_render, parse_class, render
 from permclass.harness import (
     REGISTRY,
@@ -69,8 +69,7 @@ def test_inclusion_fails_with_smallest_witness():
 
 
 def test_inclusion_skips_beyond_cap(monkeypatch):
-    tight = Config(max_order=3)
-    report = check_inclusion(parse_class("I"), parse_class("comp(I,I)"), range(1, 6), tight)
+    report = check_inclusion(parse_class("I"), parse_class("comp(I,I)"), range(1, 6), 3)
     assert report.skipped_orders == [4, 5]
     assert not report.failed_orders
     assert report.results[4].reason == "enumeration at order 4 exceeds cap 3"
@@ -95,8 +94,7 @@ def test_inclusion_of_an_empty_slice_holds_past_the_pair_limit(monkeypatch):
 
 def test_inclusion_past_the_product_order_limit_is_skipped():
     # Slices hold byte strings and stop at order 255, after the order cap is passed.
-    huge = Config(max_order=256)
-    report = check_inclusion(parse_class("D"), parse_class("comp(D,D)"), [256], huge)
+    report = check_inclusion(parse_class("D"), parse_class("comp(D,D)"), [256], 256)
     assert report.results[256].reason == "slice at order 256 exceeds the limit 255"
 
 
@@ -176,7 +174,7 @@ def streamed_switch(rhs, lhs_slice):
     """(batches streamed, members left) where the stream should stop, as
     |rest| < batches left, or None when it runs out or strikes every member."""
     n = lhs_slice.order
-    left, acc = algebra._split(rhs.children, n, Config(), slice_cache())
+    left, acc = algebra._split(rhs.children, n, MAX_ORDER, slice_cache())
     rest = set(lhs_slice.members)
     for done, batch in enumerate(algebra._batches(left, acc, n)):
         if len(rest) < len(left) - done:
