@@ -61,6 +61,13 @@ class Occurrence:
         if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
             raise ValueError(f"indices not strictly increasing: {self.indices!r}")
 
+    @classmethod
+    def _trusted(cls, indices: tuple[int, ...]) -> "Occurrence":
+        """Wrap indices that increase by construction, unchecked."""
+        o = object.__new__(cls)
+        object.__setattr__(o, "indices", indices)
+        return o
+
 
 EMPTY = Permutation(())
 
@@ -176,37 +183,36 @@ def _neighbours(pat: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 def contains(host: Permutation, pattern: Permutation) -> Optional[Occurrence]:
     """Lexicographically smallest occurrence of pattern in host, or None.
 
-    Backtracking over positions with value-window pruning; the first complete
-    match found by always extending with the smallest next position is the
+    Backtracking over positions with value-window pruning, on an explicit
+    stack, so a long pattern needs no deep recursion; the first complete match
+    found by always extending with the smallest next position is the
     lexicographically smallest one.  The matched prefix is order-isomorphic to
     the pattern's, so the window for index t is bounded by just two matched
     values: those of its nearest smaller and nearest larger earlier neighbours.
     """
     m, n = len(pattern), len(host)
-    if m == 0:
-        return Occurrence(())
     if m > n:
         return None
     bounds = _neighbours(pattern.values)
     hv = host.values
     matched = [0, n + 1]  # the sentinels, then the matched host values
-
-    def extend(t: int, start: int) -> bool:
-        if t == m:
-            return True
+    positions: list[int] = []  # the host index of each matched value
+    t = start = 0  # the pattern index to match next, and the first position to try
+    while t < m:
         below, above = bounds[t]
         lo, hi = matched[below], matched[above]
-        for j in range(start, n - (m - t) + 1):
+        for j in range(start, n - m + t + 1):
             if lo < hv[j] < hi:
                 matched.append(hv[j])
-                if extend(t + 1, j + 1):
-                    return True
-                matched.pop()
-        return False
-
-    if extend(0, 0):
-        return Occurrence(tuple(hv.index(v) + 1 for v in matched[2:]))
-    return None
+                positions.append(j)
+                t, start = t + 1, j + 1
+                break
+        else:
+            if not t:
+                return None
+            matched.pop()
+            t, start = t - 1, positions.pop() + 1
+    return Occurrence._trusted(tuple(j + 1 for j in positions))
 
 
 def greedy_increasing_chains(p: Permutation) -> list[list[int]]:

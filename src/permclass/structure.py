@@ -196,7 +196,8 @@ def jv_split(
 
     Requires p to avoid the direct sum alpha+beta+gamma; existence of the split
     is then guaranteed, so exhausting the search raises SplitContractError.
-    Colorings are searched lexicographically with 'a' tried before 'c'.
+    Colorings are searched lexicographically with 'a' tried before 'c', by
+    backtracking on an explicit stack of labels, one per labelled entry.
     """
     whole = direct_sum(direct_sum(alpha, beta), gamma)
     if contains(p, whole) is not None:
@@ -204,26 +205,30 @@ def jv_split(
     ab = direct_sum(alpha, beta)
     bg = direct_sum(beta, gamma)
     vals = p.values
-    n = len(vals)
     a_part: list[int] = []
     c_part: list[int] = []
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = vals[i]
+    in_a: list[bool] = []  # the label of each entry so far, True for 'a'
+    try_a = True
+    while len(in_a) < len(vals):
+        v = vals[len(in_a)]
         # label 'a': every earlier c element must not be smaller than v
-        if all(cv > v for cv in c_part):
+        a_ok = try_a and all(cv > v for cv in c_part)
+        if a_ok and contains(pattern_of(a_part + [v]), ab) is None:
             a_part.append(v)
-            if contains(pattern_of(a_part), ab) is None and extend(i + 1):
-                return True
+            in_a.append(True)
+        elif contains(pattern_of(c_part + [v]), bg) is None:
+            c_part.append(v)
+            in_a.append(False)
+        else:
+            # Neither label works: unlabel back to the last 'a' and try 'c' there.
+            while in_a and not in_a[-1]:
+                in_a.pop()
+                c_part.pop()
+            if not in_a:
+                raise SplitContractError(f"no witness split for {p}; the guarantee failed")
+            in_a.pop()
             a_part.pop()
-        c_part.append(v)
-        if contains(pattern_of(c_part), bg) is None and extend(i + 1):
-            return True
-        c_part.pop()
-        return False
-
-    if not extend(0):
-        raise SplitContractError(f"no witness split for {p}; the guarantee failed")
+            try_a = False
+            continue
+        try_a = True
     return tuple(a_part), tuple(c_part)

@@ -213,13 +213,35 @@ def test_env_cap_applies_to_enumeration(capsys, monkeypatch):
     assert code == 2 and "PERMCLASS_MAX_N" in err and len(err.encode()) < 500
 
 
+# One valid call of each subcommand, each of which exits 0 without PERMCLASS_MAX_N.
+EVERY_SUBCOMMAND = (
+    ("member", "--class", "I", "--perm", "12"),
+    ("enumerate", "--class", "I", "-n", "2"),
+    ("count", "--class", "I", "--max-n", "3"),
+    ("basis", "--class", "I", "--max-len", "2"),
+    ("compose-perms", "21", "21"),
+    ("decompose", "--method", "vkhk", "--perm", "2143"),
+    ("include", "--lhs", "I", "--rhs", "Ik(2)", "--max-n", "2"),
+    ("suite", "--names", "thm-L-gamma-far"),
+)
+
+
+def test_every_subcommand_is_listed():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(argv[0] for argv in EVERY_SUBCOMMAND) == sorted(sub.choices)
+
+
 def test_negative_env_cap_is_a_usage_error(capsys, monkeypatch):
-    # Like a negative --max-n: not a cap below every order, a usage error.
-    monkeypatch.setenv("PERMCLASS_MAX_N", "-1")
-    code, out, err = run(capsys, "--format", "json", "suite", "--names", "lemma-kl")
-    assert (code, out) == (2, "") and "PERMCLASS_MAX_N" in err
-    code, out, err = run(capsys, "count", "--class", "I", "--max-n", "3")
-    assert (code, out) == (2, "") and "PERMCLASS_MAX_N" in err
+    # Like a negative --max-n: not a cap below every order, a usage error,
+    # whether or not the subcommand reads the cap.
+    for argv in EVERY_SUBCOMMAND:
+        assert run(capsys, *argv)[0] == 0, argv
+    for env in ("-1", "x", ""):
+        monkeypatch.setenv("PERMCLASS_MAX_N", env)
+        for argv in EVERY_SUBCOMMAND:
+            code, out, err = run(capsys, "--format", "json", *argv)
+            assert (code, out) == (2, ""), (env, argv)
+            assert err.startswith("error: PERMCLASS_MAX_N must be an integer >= 0"), (env, argv)
 
 
 @pytest.mark.parametrize(
@@ -267,6 +289,14 @@ def test_a_usage_error_leaves_the_parser_fit_for_the_next_call(capsys):
     code, out, err = run(capsys, "member", "--class", "I")
     assert (code, out) == (2, "") and "--perm" in err
     assert run(capsys, "member", "--class", "Ik(2)", "--perm", "312") == (0, "true\n", "")
+
+
+def test_member_of_an_order_1000_avoidance_class(capsys):
+    # contains keeps its matched entries on an explicit stack: a pattern longer
+    # than the recursion limit is matched entry by entry, without recursion.
+    values = " ".join(map(str, range(1, 1001)))
+    code, out, err = run(capsys, "member", "--class", f"Av([{values}])", "--perm", values)
+    assert (code, out, err) == (0, "false\n", "")
 
 
 def test_the_format_option_does_not_carry_over(capsys):

@@ -1,13 +1,18 @@
+import inspect
 import itertools
+import sys
 import time
+import zlib
 from functools import partial
 
 import pytest
 
 from permclass.algebra import member
 from permclass.exprs import Dec, Inc, parse_class
+from permclass import structure
 from permclass.perms import (
     EMPTY,
+    Occurrence,
     all_perms,
     contains,
     decreasing,
@@ -194,6 +199,89 @@ def test_jv_split_oracles():
     assert jv_split(from_text("321"), one, one, one) == ((3, 2, 1), ())
     with pytest.raises(ValueError):
         jv_split(from_text("123"), one, one, one)
+
+
+def _jv_split_recursive(p, alpha, beta, gamma, contains=contains):
+    """The search as one recursive call per entry, 'a' tried before 'c': the
+    reference for the explicit-stack search."""
+    ab, bg = direct_sum(alpha, beta), direct_sum(beta, gamma)
+    vals = p.values
+    a_part, c_part = [], []
+
+    def extend(i):
+        if i == len(vals):
+            return True
+        v = vals[i]
+        if all(cv > v for cv in c_part):
+            a_part.append(v)
+            if contains(pattern_of(a_part), ab) is None and extend(i + 1):
+                return True
+            a_part.pop()
+        c_part.append(v)
+        if contains(pattern_of(c_part), bg) is None and extend(i + 1):
+            return True
+        c_part.pop()
+        return False
+
+    if not extend(0):
+        raise SplitContractError(f"no witness split for {p}")
+    return tuple(a_part), tuple(c_part)
+
+
+def test_jv_split_matches_the_recursive_search():
+    # Each case backtracks on some inputs: 'a' works for an entry but leaves
+    # no label for a later one.
+    for alpha, beta_len, gamma in (("1", 1, "1"), ("21", 1, "21"), ("1", 2, "1"), ("1", 1, "21")):
+        alpha, beta, gamma = from_text(alpha), decreasing(beta_len), from_text(gamma)
+        whole = direct_sum(direct_sum(alpha, beta), gamma)
+        for n in range(0, 7):
+            for p in all_perms(n):
+                if contains(p, whole) is None:
+                    want = _jv_split_recursive(p, alpha, beta, gamma)
+                    assert jv_split(p, alpha, beta, gamma) == want, (p, alpha, beta, gamma)
+
+
+def test_jv_split_backtracks_like_the_recursive_search(monkeypatch):
+    # Genuine inputs have not been seen to need more than one label undone, so
+    # a fixed, arbitrary avoidance test for the two parts stands in for
+    # contains: it sends the search back over many entries, and through the
+    # whole tree when no labelling passes it.
+    real = structure.contains
+    one = from_text("1")
+
+    def arbitrary(host, pattern):
+        if len(pattern) == 3:  # the precondition's 123
+            return real(host, pattern)
+        return Occurrence(()) if zlib.crc32(bytes(host.values)) % 7 == 0 else None
+
+    monkeypatch.setattr(structure, "contains", arbitrary)
+    outcomes = set()
+    for n in range(0, 7):
+        for p in all_perms(n):
+            if real(p, from_text("123")) is not None:
+                continue
+            try:
+                want = _jv_split_recursive(p, one, one, one, arbitrary)
+            except SplitContractError:
+                with pytest.raises(SplitContractError):
+                    jv_split(p, one, one, one)
+                outcomes.add("none")
+                continue
+            assert jv_split(p, one, one, one) == want, p
+            outcomes.add("split")
+    assert outcomes == {"none", "split"}
+
+
+def test_jv_split_runs_past_the_recursion_limit():
+    # The labels sit on an explicit stack, so an input longer than the
+    # recursion limit leaves it is split all the same.
+    one, limit = from_text("1"), sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        got = jv_split(decreasing(200), one, one, one)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (tuple(range(200, 0, -1)), ())
 
 
 def test_jv_split_certificate_everywhere():
