@@ -304,8 +304,9 @@ def slice_cache() -> SliceCache:
 
 class _Rule(NamedTuple):
     """A node type's semantics: `member(expr, p, max_order, cache)`, and
-    `slice(expr, n, max_order, cache)` deriving the order-n members from the children's slices
-    (None: grown from order n-1).  Both recurse through the module-level names.
+    `slice(expr, n, max_order, cache)` deriving the order-n members from the
+    children's slices (None: grown from order n-1).  Both recurse through the
+    module-level names, passing the order cap on unchanged.
 
     A grown row may set `admits(expr, q)`: for the byte string q of a member of
     order n-1, the admitted new last entries j (an iterable; values >= j shift
