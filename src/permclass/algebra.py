@@ -14,7 +14,8 @@ products until fewer members are left than batches, then tests each member p:
 is some p o b^-1 in the first factor?
 
 A slice holds its members as byte strings, so none is built past order 255;
-only this module reads them.  `in`, iteration and `len` speak `Permutation`.
+only this module reads them.  `in`, iteration and `len` speak `Permutation`;
+`rows` gives the members' values as lists.
 """
 from __future__ import annotations
 
@@ -65,7 +66,8 @@ def _perms(members: Iterable[bytes]) -> Iterator[Permutation]:
 class ClassSlice:
     """All members of a class at one order, held as byte strings of their values.
 
-    Iteration is in byte order, which on one length is lexicographic order."""
+    Iteration and `rows` go in byte order, which on one length is lexicographic
+    order."""
 
     order: int
     members: frozenset[bytes]
@@ -78,6 +80,10 @@ class ClassSlice:
 
     def __iter__(self) -> Iterator[Permutation]:
         return _perms(sorted(self.members))
+
+    def rows(self) -> list[list[int]]:
+        """The members' values as lists of ints, in the order of iteration."""
+        return list(map(list, sorted(self.members)))
 
 
 class SliceCache:

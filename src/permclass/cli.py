@@ -103,15 +103,12 @@ def _cmd_member(args, env_cap: Optional[int]) -> int:
 
 def _cmd_enumerate(args, env_cap: Optional[int]) -> int:
     expr = _parse_expr(args.cls)
-    members = list(class_slice(expr, args.n, _tighter(MAX_ORDER, env_cap)))
+    rows = class_slice(expr, args.n, _tighter(MAX_ORDER, env_cap)).rows()
     if args.format == "json":
-        _emit(
-            {"class": render(expr), "n": args.n, "members": [_perm_json(p) for p in members]},
-            args,
-        )
+        _emit({"class": render(expr), "n": args.n, "members": rows}, args)
     else:
-        for p in members:
-            print(to_text(p))
+        for row in rows:
+            print(to_text(row))
     return EXIT_OK
 
 

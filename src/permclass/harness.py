@@ -389,11 +389,13 @@ def _increasing_colorable(p: Permutation, k: int) -> bool:
         if i == n:
             return True
         v = vals[i]
-        tried = set()
+        # Parts hold disjoint values, so only empty parts (tail 0) share a
+        # tail; they are interchangeable, and one of them is tried.
+        tried_empty = False
         for part in range(k):
             t = tails[part]
-            if t < v and t not in tried:
-                tried.add(t)
+            if t < v and (t or not tried_empty):
+                tried_empty = tried_empty or not t
                 tails[part] = v
                 if extend(i + 1):
                     return True

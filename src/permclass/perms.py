@@ -102,13 +102,12 @@ def from_text(text: str) -> Permutation:
     return Permutation(int(ch) for ch in text)
 
 
-def to_text(p: Permutation) -> str:
-    """Render one-line notation; compact digits for n <= 9, spaced otherwise."""
+def to_text(p: Permutation | Sequence[int]) -> str:
+    """Render one-line notation of a permutation or of its values; compact
+    digits for n <= 9, spaced otherwise."""
     if len(p) == 0:
         return "e"
-    if len(p) <= 9:
-        return "".join(str(v) for v in p.values)
-    return " ".join(str(v) for v in p.values)
+    return ("" if len(p) <= 9 else " ").join(map(str, p))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -160,6 +159,8 @@ def direct_sum_all(parts: Iterable[Permutation]) -> Permutation:
 def pattern_of(values: Sequence[int]) -> Permutation:
     """The permutation order-isomorphic to an arbitrary sequence of distinct numbers."""
     ranks = {v: r for r, v in enumerate(sorted(values), start=1)}
+    if len(ranks) == len(values):  # distinct values: the ranks are a permutation
+        return Permutation._trusted(tuple([ranks[v] for v in values]))
     return Permutation(ranks[v] for v in values)
 
 
@@ -170,13 +171,13 @@ def _neighbours(pat: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     larger value.  Indices are offset by 2 into contains' matched values; 0
     stands for "none smaller" (value 0) and 1 for "none larger" (value n+1)."""
     out = []
+    seen: list[int] = []  # the earlier values, sorted
+    at = [0] * (len(pat) + 1)  # at[v]: the offset index of value v
     for t, v in enumerate(pat):
-        below = [s for s in range(t) if pat[s] < v]
-        above = [s for s in range(t) if pat[s] > v]
-        out.append((
-            max(below, key=pat.__getitem__) + 2 if below else 0,
-            min(above, key=pat.__getitem__) + 2 if above else 1,
-        ))
+        k = bisect.bisect_left(seen, v)
+        out.append((at[seen[k - 1]] if k else 0, at[seen[k]] if k < len(seen) else 1))
+        seen.insert(k, v)
+        at[v] = t + 2
     return tuple(out)
 
 

@@ -5,9 +5,10 @@ import pytest
 
 from permclass.algebra import basis_up_to, class_slice, count, member, slice_cache
 from permclass.cli import _build_parser, cli_dispatch
-from permclass.exprs import parse_class
+from permclass.exprs import parse_class, render
 from permclass.factor import decompose_vk_hk
-from permclass.perms import from_text
+from permclass.perms import from_text, to_text
+from test_algebra import EVERY_NODE_TYPE
 
 
 def run(capsys, *argv):
@@ -77,6 +78,34 @@ def test_enumerate_matches_library(capsys):
     code, out, _ = run(capsys, "enumerate", "--class", "Lk(2)", "-n", "4")
     assert code == 0
     assert out.split() == [str(p) for p in class_slice(parse_class("Lk(2)"), 4)]
+
+
+def test_enumerate_prints_what_permutation_iteration_gives(capsys):
+    # enumerate prints the slice's rows; the reference rebuilds them from
+    # Permutations, as the command did before it printed rows.
+    def check(text, n):
+        expr = parse_class(text)
+        perms = list(class_slice(expr, n))
+        assert class_slice(expr, n).rows() == [list(p.values) for p in perms], (text, n)
+        payload = {"class": render(expr), "n": n, "members": [list(p.values) for p in perms]}
+        want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert run(capsys, "--format", "json", "enumerate", "--class", text, "-n", str(n)) == (0, want, "")
+        want = "".join(to_text(p) + "\n" for p in perms)
+        assert run(capsys, "enumerate", "--class", text, "-n", str(n)) == (0, want, ""), (text, n)
+
+    for text in EVERY_NODE_TYPE:
+        for n in range(7):
+            check(text, n)
+    for text in ("I", "Lk(1)", "F2"):
+        check(text, 10)
+    # Order 0 holds the empty permutation, order 10 is spaced, and an empty
+    # class lists nothing.
+    assert run(capsys, "--format", "json", "enumerate", "--class", "I", "-n", "0")[1] == (
+        '{"class":"I","members":[[]],"n":0}\n'
+    )
+    assert run(capsys, "enumerate", "--class", "I", "-n", "0")[1] == "e\n"
+    assert run(capsys, "enumerate", "--class", "Lk(1)", "-n", "10")[1] == "10 9 8 7 6 5 4 3 2 1\n"
+    assert run(capsys, "enumerate", "--class", "Av([ ])", "-n", "0")[1] == ""
 
 
 def test_count_matches_library(capsys):

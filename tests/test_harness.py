@@ -13,8 +13,9 @@ from permclass.harness import (
     check_inclusion,
     run_suite,
     search_m,
+    _increasing_colorable,
 )
-from permclass.perms import all_perms, compose, from_text, to_text
+from permclass.perms import all_perms, compose, from_text, lds, to_text
 
 import pytest
 
@@ -314,3 +315,13 @@ def test_verdict_json():
     assert Verdict("holds").to_json() == {"status": "holds"}
     v = Verdict("fails", witness=from_text("321"))
     assert v.to_json() == {"status": "fails", "witness": [3, 2, 1]}
+
+
+def test_increasing_colorable_agrees_with_lds():
+    # The coloring search is fact-basic-equiv's independent reference: by
+    # Dilworth, k increasing parts cover p exactly when lds(p) <= k.
+    for n in range(8):
+        for p in all_perms(n):
+            d = lds(p)
+            for k in range(1, 5):
+                assert _increasing_colorable(p, k) == (d <= k), (to_text(p), k)

@@ -24,6 +24,7 @@ from permclass.perms import (
     pattern_of,
     reverse,
     to_text,
+    _neighbours,
 )
 
 
@@ -58,6 +59,10 @@ def test_text_roundtrip():
     long = Permutation([10, 2, 1, 3, 4, 5, 6, 7, 8, 9])
     assert to_text(long) == "10 2 1 3 4 5 6 7 8 9"
     assert from_text(to_text(long)) == long
+    assert to_text(from_text("912345678")) == "912345678"
+    # A permutation's values render as the permutation does.
+    assert to_text([]) == "e" and to_text([3, 1, 2]) == "312"
+    assert to_text(list(long.values)) == "10 2 1 3 4 5 6 7 8 9"
     with pytest.raises(ValueError):
         from_text("")
     with pytest.raises(ValueError):
@@ -89,6 +94,9 @@ def test_sums():
 def test_pattern_of():
     assert pattern_of([10, 3, 7]) == from_text("312")
     assert pattern_of([]) == EMPTY
+    # Repeated values have no pattern; the constructor's check says so.
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.3: \(2, 2, 3\)$"):
+        pattern_of([3, 3, 5])
 
 
 @given(perm_strategy())
@@ -108,10 +116,10 @@ def test_reverse_complement_as_compositions(p):
 
 @given(perm_strategy(9), perm_strategy(9))
 def test_unvalidated_results_pass_validation(p, q):
-    # compose, inverse, reverse and complement skip the constructor's check.
+    # compose, inverse, reverse, complement and pattern_of skip the constructor's check.
     n = max(len(p), len(q))
     p, q = (direct_sum(x, identity(n - len(x))) for x in (p, q))
-    for r in (compose(p, q), inverse(p), reverse(p), complement(p)):
+    for r in (compose(p, q), inverse(p), reverse(p), complement(p), pattern_of([-v for v in p])):
         assert type(r.values) is tuple
         assert Permutation(r.values) == r and hash(Permutation(r.values)) == hash(r)
 
@@ -176,6 +184,30 @@ def _contains_prefix_scan(host, pattern):
         return False
 
     return Occurrence(tuple(j + 1 for j in chosen)) if m <= n and extend(0, 0) else None
+
+
+def _neighbours_by_rescan(pat):
+    """Reference: each index rescans every earlier index."""
+    out = []
+    for t, v in enumerate(pat):
+        below = [s for s in range(t) if pat[s] < v]
+        above = [s for s in range(t) if pat[s] > v]
+        out.append((
+            max(below, key=pat.__getitem__) + 2 if below else 0,
+            min(above, key=pat.__getitem__) + 2 if above else 1,
+        ))
+    return tuple(out)
+
+
+def test_neighbours_match_the_rescan_on_small_patterns():
+    for m in range(7):
+        for pat in all_perms(m):
+            assert _neighbours(pat.values) == _neighbours_by_rescan(pat.values), pat
+
+
+@given(perm_strategy(40))
+def test_neighbours_match_the_rescan_on_longer_patterns(pat):
+    assert _neighbours(pat.values) == _neighbours_by_rescan(pat.values)
 
 
 def test_contains_matches_the_prefix_scan_on_small_orders():
