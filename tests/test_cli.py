@@ -82,7 +82,7 @@ def test_enumerate_matches_library(capsys):
 
 def test_enumerate_prints_what_permutation_iteration_gives(capsys):
     # enumerate prints the slice's rows; the reference rebuilds them from
-    # Permutations, as the command did before it printed rows.
+    # Permutation iteration.
     def check(text, n):
         expr = parse_class(text)
         perms = list(class_slice(expr, n))
