@@ -116,7 +116,7 @@ def test_criterion_15_vh_invert_and_basicsym():
 def test_criterion_16_search_m_2_2():
     r = _run("search-m-2-2")
     # must terminate with either a verified m=4 counterexample or an explicit
-    # none-found note, and m=3 must hold for all n<=8
+    # none-found note, and m=3 must hold for all n<=9
     has_m4_note = any("m=4" in line for line in r.counterexamples)
     ok = r.status == "pass" and has_m4_note
-    _report("search-m-2-2 m=3 holds n<=8, m=4 resolved up to 9", ok, "; ".join(r.counterexamples))
+    _report("search-m-2-2 m=3 holds n<=9, m=4 resolved up to 9", ok, "; ".join(r.counterexamples))

@@ -361,3 +361,74 @@ def test_dispatches_build_the_parser_once(capsys, monkeypatch):
     assert run(capsys, "member", "--class", "I", "--perm", "12")[0] == 0
     assert run(capsys, "count", "--class", "I", "--max-n", "2")[0] == 0
     assert built == []
+
+
+# The suite's JSON contract, byte for byte: `--format json suite --names all`
+# at --max-n 4 and under PERMCLASS_MAX_N=3 (keys sorted, no timings, one
+# trailing newline).
+SUITE_ALL_MAX_N_4 = (
+    '{"results":['
+    '{"counterexamples":[],"name":"fact-basic-equiv","parameters":{"k":[2,3],"max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-kl","parameters":{"k,l":"2,3 pairs","max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-extrakl","parameters":{"max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-basicsym","parameters":{"corpus":["Ik(2)","Lk(2)","Av(321)","Hk(2)","Vk(2)","F2"],"max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-VH-invert","parameters":{"max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-behaviour-H","parameters":{"max_n":4,"variant":"H"},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-behaviour-V","parameters":{"max_n":4,"variant":"V"},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-behaviour-I","parameters":{"max_n":4,"variant":"I"},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-important","parameters":{"max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm-Ik-VkHk","parameters":{"k":[2,3],"max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm-k+l-1","parameters":{"max_n":4,"pairs":[[2,2],[2,3],[3,2]]},"status":"pass"},'
+    '{"counterexamples":["m=4: no counterexample found up to order 4"],"name":"search-m-2-2","parameters":{"k":2,"l":2,"max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm-L4","parameters":{"k":4,"max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm-L4-k5","parameters":{"k":5,"max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-L2-group","parameters":{"max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"count-L2","parameters":{"max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"count-F2","parameters":{"max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm52-111","parameters":{"alpha":"1","beta_len":1,"gamma":"1","max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm52-21-1-21","parameters":{"alpha":"21","beta_len":1,"gamma":"21","max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"basis-H-size3","parameters":{"max_len":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-blocks","parameters":{"max_n":4},"status":"pass"},'
+    '{"counterexamples":[],"name":"close-N-sigma","parameters":{"max_n":4,"thresholds":[2,3]},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm-L-gamma-far","parameters":{"c":1,"l":1,"order":8},"status":"pass"},'
+    '{"counterexamples":[],"name":"prop-VH-blockbound","parameters":{"eta_length":5,"max_n":4},"status":"pass"}'
+    ']}\n'
+)
+SUITE_ALL_ENV_CAP_3 = (
+    '{"results":['
+    '{"counterexamples":[],"name":"fact-basic-equiv","parameters":{"k":[2,3],"max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-kl","parameters":{"k,l":"2,3 pairs","max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-extrakl","parameters":{"max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-basicsym","parameters":{"corpus":["Ik(2)","Lk(2)","Av(321)","Hk(2)","Vk(2)","F2"],"max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-VH-invert","parameters":{"max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-behaviour-H","parameters":{"max_n":3,"variant":"H"},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-behaviour-V","parameters":{"max_n":3,"variant":"V"},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-behaviour-I","parameters":{"max_n":3,"variant":"I"},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-important","parameters":{"max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm-Ik-VkHk","parameters":{"k":[2,3],"max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm-k+l-1","parameters":{"max_n":3,"pairs":[[2,2],[2,3],[3,2]]},"status":"pass"},'
+    '{"counterexamples":["m=4: no counterexample found up to order 3"],"name":"search-m-2-2","parameters":{"k":2,"l":2,"max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm-L4","parameters":{"k":4,"max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm-L4-k5","parameters":{"k":5,"max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-L2-group","parameters":{"max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"count-L2","parameters":{"max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"count-F2","parameters":{"max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm52-111","parameters":{"alpha":"1","beta_len":1,"gamma":"1","max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm52-21-1-21","parameters":{"alpha":"21","beta_len":1,"gamma":"21","max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"basis-H-size3","parameters":{"max_len":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"lemma-blocks","parameters":{"max_n":3},"status":"pass"},'
+    '{"counterexamples":[],"name":"close-N-sigma","parameters":{"max_n":3,"thresholds":[2,3]},"status":"pass"},'
+    '{"counterexamples":[],"name":"thm-L-gamma-far","parameters":{"c":1,"l":1,"order":8},"status":"pass"},'
+    '{"counterexamples":[],"name":"prop-VH-blockbound","parameters":{"eta_length":5,"max_n":3},"status":"pass"}'
+    ']}\n'
+)
+
+
+def test_suite_json_contract_is_byte_stable(capsys, monkeypatch):
+    assert run(capsys, "--format", "json", "suite", "--names", "all", "--max-n", "4") == (
+        0, SUITE_ALL_MAX_N_4, ""
+    )
+    monkeypatch.setenv("PERMCLASS_MAX_N", "3")
+    assert run(capsys, "--format", "json", "suite", "--names", "all") == (
+        0, SUITE_ALL_ENV_CAP_3, ""
+    )

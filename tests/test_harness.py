@@ -1,10 +1,12 @@
 import json
 
-from permclass import algebra, structure
+from permclass import algebra, harness, structure
 from permclass.algebra import MAX_ORDER, SliceCache, class_slice, member, slice_cache
-from permclass.exprs import canonical_render, parse_class, render
+from permclass.exprs import Comp, IncK, canonical_render, parse_class, render
 from permclass.harness import (
     REGISTRY,
+    InclusionReport,
+    MSearchReport,
     UnknownCheckError,
     Verdict,
     behaviour_closure,
@@ -15,7 +17,7 @@ from permclass.harness import (
     search_m,
     _increasing_colorable,
 )
-from permclass.perms import all_perms, compose, from_text, lds, to_text
+from permclass.perms import all_perms, compose, decreasing, from_text, lds, to_text
 
 import pytest
 
@@ -241,6 +243,143 @@ def test_search_m_shape():
     assert report.counterexample(4) is None
     payload = report.to_json()
     assert payload["k"] == 2 and "3" in payload["per_m"]
+
+
+def per_m_search(k, l, n_max):
+    """The reference search: one independent check_inclusion per m."""
+    rhs = Comp((IncK(k), IncK(l)))
+    per_m = {
+        str(m): check_inclusion(IncK(m), rhs, range(1, n_max + 1)).to_json()
+        for m in range(k + l - 1, k * l + 1)
+    }
+    return {"k": k, "l": l, "per_m": per_m}
+
+
+SEARCHES = [(k, l, n) for k, l in ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2))
+            for n in range(1, 7)] + [(2, 2, 7)]
+
+
+@pytest.fixture
+def fresh_cache():
+    """Empty slice cache before and after: limits and rules changed in a test
+    would otherwise be hidden by, or leak through, cached slices."""
+    slice_cache().clear()
+    yield
+    slice_cache().clear()
+
+
+def test_search_m_matches_one_inclusion_per_m():
+    for k, l, n in SEARCHES:
+        report = search_m(k, l, n)
+        assert list(report.per_m) == list(range(k + l - 1, k * l + 1))
+        assert all(list(r.results) == list(range(1, n + 1)) for r in report.per_m.values())
+        assert report.to_json() == per_m_search(k, l, n), (k, l, n)
+
+
+def test_search_m_checks_a_refused_wider_order_itself(monkeypatch, fresh_cache):
+    # Ik(4) has 694 members at order 6, so its order-7 growth is refused; the
+    # smaller Ik(3) still grows, and m=3 at order 7 is checked, not read off.
+    monkeypatch.setattr(algebra, "MAX_CANDIDATES", 4000)
+    report = search_m(2, 2, 7)
+    assert report.per_m[4].skipped_orders == [7]
+    assert report.per_m[4].results[7].reason == (
+        "order 7 needs 4858 growth candidates, over the limit 4000"
+    )
+    assert report.per_m[3].holds
+    slice_cache().clear()
+    assert report.to_json() == per_m_search(2, 2, 7)
+
+
+@pytest.mark.parametrize("limit", [0, 196, 10000])
+def test_search_m_under_the_pair_limit_matches_one_inclusion_per_m(monkeypatch, fresh_cache, limit):
+    # A pair-limit refusal leaves both slices buildable, so only the wider
+    # verdict tells the narrower order not to be read off.
+    monkeypatch.setattr(algebra, "MAX_PAIRS", limit)
+    for k, l in ((2, 2), (2, 3)):
+        got = search_m(k, l, 6).to_json()
+        slice_cache().clear()
+        assert got == per_m_search(k, l, 6), (k, l, limit)
+        assert any(
+            v["status"] == "skipped" for r in got["per_m"].values() for v in r["results"].values()
+        )
+
+
+@pytest.mark.parametrize("widened", [(3,), (3, 4)])
+def test_search_m_reads_off_only_what_the_subset_test_shows(monkeypatch, fresh_cache, widened):
+    # A rule that lets Ik(3) (and Ik(4)) admit every new last entry makes them
+    # all of S_n.  From order 5 the wide Ik(3) slice is no longer inside Ik(4)'s,
+    # or Ik(4) itself fails, so m=3 must be checked and fail.
+    def admits(e, q):
+        return range(1, len(q) + 2) if e.k in widened else algebra._inc_k_admits(e, q)
+
+    monkeypatch.setitem(algebra._RULES, IncK, algebra._INC_K._replace(admits=admits))
+    report = search_m(2, 2, 6)
+    assert report.per_m[3].failed_orders == [5, 6]
+    assert report.per_m[3].results[5].witness == from_text("54321")
+    assert report.per_m[3].results[6].witness == from_text("165432")
+    assert report.per_m[4].holds == (4 not in widened)
+    slice_cache().clear()
+    assert report.to_json() == per_m_search(2, 2, 6)
+
+
+def test_search_m_streams_only_the_widest_m_while_every_order_holds(monkeypatch):
+    real, calls = harness.check_inclusion, []
+
+    def spy(lhs, rhs, n_range, max_order=MAX_ORDER):
+        calls.append((render(lhs), list(n_range)))
+        return real(lhs, rhs, n_range, max_order)
+
+    monkeypatch.setattr(harness, "check_inclusion", spy)
+    for k, l, n in ((2, 2, 7), (2, 3, 6), (3, 2, 6), (1, 1, 4)):
+        calls.clear()
+        assert all(r.holds for r in search_m(k, l, n).per_m.values())
+        assert calls == [(f"Ik({k * l})", list(range(1, n + 1)))], (k, l, n)
+
+
+def test_search_m_2_2_skips_when_an_order_is_refused(monkeypatch, fresh_cache):
+    # Orders 6 and 7 need more product pairs than the limit, for both m.
+    monkeypatch.setattr(algebra, "MAX_PAIRS", 10000)
+    (result,) = run_suite(["search-m-2-2"], n_cap=7)
+    assert result.status == "skip"
+    assert result.counterexamples == []
+
+
+def fake_search(failing, refused=()):
+    """search_m(2, 2, n) stand-in: every order holds but m=3 fails at the
+    orders in failing and m=4 is skipped at those in refused."""
+
+    def search(k, l, n_max, max_order=MAX_ORDER):
+        report = MSearchReport(k, l)
+        for m in (3, 4):
+            per = report.per_m[m] = InclusionReport(IncK(m), Comp((IncK(k), IncK(l))))
+            for n in range(1, n_max + 1):
+                if m == 3 and n in failing:
+                    per.results[n] = Verdict("fails", witness=decreasing(n))
+                elif m == 4 and n in refused:
+                    per.results[n] = Verdict("skipped", reason="refused")
+                else:
+                    per.results[n] = Verdict("holds")
+        return report
+
+    return search
+
+
+def test_search_m_2_2_fails_on_an_m3_failure_at_any_order(monkeypatch):
+    monkeypatch.setattr(harness, "search_m", fake_search({9}))
+    (result,) = run_suite(["search-m-2-2"])
+    assert result.status == "fail"
+    assert result.counterexamples == [
+        "m=3 fails at order 9: 987654321",
+        "m=4: no counterexample found up to order 9",
+    ]
+    # A failure outranks a refusal, and the note stops below the refused orders.
+    monkeypatch.setattr(harness, "search_m", fake_search({9}, refused={8, 9}))
+    (result,) = run_suite(["search-m-2-2"])
+    assert result.status == "fail"
+    assert result.counterexamples == [
+        "m=3 fails at order 9: 987654321",
+        "m=4: no counterexample found up to order 7",
+    ]
 
 
 def test_behaviour_closure_matches_composition():
