@@ -405,8 +405,13 @@ def _layered(accept: Callable[[ClassExpr, tuple[int, ...]], bool]) -> _Rule:
 
 
 def _part_tests(e: ClassExpr, max_order: int, cache) -> list[structure.PartTest]:
-    """V/H/merge: one membership test per child, for the split searches."""
-    return [partial(member, c, max_order=max_order, cache=cache) for c in e.children]
+    """V/H/merge: one membership test per child, for the split searches;
+    children with the same canonical rendering share one test object."""
+    tests: dict[str, structure.PartTest] = {}
+    return [
+        tests.setdefault(canonical_render(c), partial(member, c, max_order=max_order, cache=cache))
+        for c in e.children
+    ]
 
 
 def _merge_member(e: exprs.Merge, p: Permutation, max_order: int, cache) -> bool:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import factor, harness
 from .algebra import MAX_ORDER, ResourceLimitError, basis_up_to, class_slice, count, member
@@ -69,11 +70,6 @@ def _perm_json(p: Permutation) -> list[int]:
     return list(p.values)
 
 
-def _emit(payload: dict, args) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-
-
 def _env_cap() -> Optional[int]:
     """PERMCLASS_MAX_N, an order cap over every subcommand, or None when unset."""
     env = os.environ.get("PERMCLASS_MAX_N")
@@ -90,68 +86,56 @@ def _tighter(cap: Optional[int], env_cap: Optional[int]) -> Optional[int]:
     return cap if env_cap is None else env_cap if cap is None else min(cap, env_cap)
 
 
-def _cmd_member(args, env_cap: Optional[int]) -> int:
+def _verdict_code(failed: bool, skipped: bool) -> int:
+    """Exit code of a check run: a failure outranks a skip."""
+    return EXIT_FAILED if failed else EXIT_RESOURCE if skipped else EXIT_OK
+
+
+# Each _cmd_* returns (exit code, JSON payload, text lines); cli_dispatch writes
+# one or the other, so the lines may be lazy.
+_Result = tuple[int, Optional[dict], Iterable[str]]
+
+
+def _cmd_member(args, env_cap: Optional[int]) -> _Result:
     expr = _parse_expr(args.cls)
     p = _parse_perm(args.perm)
     verdict = member(expr, p, _tighter(MAX_ORDER, env_cap))
-    if args.format == "json":
-        _emit({"class": render(expr), "perm": _perm_json(p), "member": verdict}, args)
-    else:
-        print("true" if verdict else "false")
-    return EXIT_OK
+    payload = {"class": render(expr), "perm": _perm_json(p), "member": verdict}
+    return EXIT_OK, payload, ["true" if verdict else "false"]
 
 
-def _cmd_enumerate(args, env_cap: Optional[int]) -> int:
+def _cmd_enumerate(args, env_cap: Optional[int]) -> _Result:
     expr = _parse_expr(args.cls)
     rows = class_slice(expr, args.n, _tighter(MAX_ORDER, env_cap)).rows()
-    if args.format == "json":
-        _emit({"class": render(expr), "n": args.n, "members": rows}, args)
-    else:
-        for row in rows:
-            print(to_text(row))
-    return EXIT_OK
+    return EXIT_OK, {"class": render(expr), "n": args.n, "members": rows}, map(to_text, rows)
 
 
-def _cmd_count(args, env_cap: Optional[int]) -> int:
+def _cmd_count(args, env_cap: Optional[int]) -> _Result:
     expr = _parse_expr(args.cls)
     counts = count(expr, args.max_n, _tighter(MAX_ORDER, env_cap))
-    if args.format == "json":
-        _emit({"class": render(expr), "max_n": args.max_n, "counts": counts}, args)
-    else:
-        for n, c in enumerate(counts, start=1):
-            print(f"{n}\t{c}")
-    return EXIT_OK
+    lines = (f"{n}\t{c}" for n, c in enumerate(counts, start=1))
+    return EXIT_OK, {"class": render(expr), "max_n": args.max_n, "counts": counts}, lines
 
 
-def _cmd_basis(args, env_cap: Optional[int]) -> int:
+def _cmd_basis(args, env_cap: Optional[int]) -> _Result:
     expr = _parse_expr(args.cls)
     basis = basis_up_to(expr, args.max_len, _tighter(MAX_ORDER, env_cap))
     basis = sorted(basis, key=lambda p: (len(p), p))
-    if args.format == "json":
-        _emit(
-            {"class": render(expr), "max_len": args.max_len, "basis": [_perm_json(p) for p in basis]},
-            args,
-        )
-    else:
-        for p in basis:
-            print(to_text(p))
-    return EXIT_OK
+    payload = {"class": render(expr), "max_len": args.max_len, "basis": [*map(_perm_json, basis)]}
+    return EXIT_OK, payload, map(to_text, basis)
 
 
-def _cmd_compose_perms(args, env_cap: Optional[int]) -> int:
+def _cmd_compose_perms(args, env_cap: Optional[int]) -> _Result:
     perms = [_parse_perm(t) for t in args.perms]
     lengths = {len(p) for p in perms}
     if len(lengths) > 1:
         raise _UsageError("all permutations must have the same length")
     out = compose_all(perms)
-    if args.format == "json":
-        _emit({"perms": [_perm_json(p) for p in perms], "result": _perm_json(out)}, args)
-    else:
-        print(to_text(out))
-    return EXIT_OK
+    payload = {"perms": [_perm_json(p) for p in perms], "result": _perm_json(out)}
+    return EXIT_OK, payload, [to_text(out)]
 
 
-def _cmd_decompose(args, env_cap: Optional[int]) -> int:
+def _cmd_decompose(args, env_cap: Optional[int]) -> _Result:
     p = _parse_perm(args.perm)
     try:
         if args.method == "vkhk":
@@ -165,40 +149,41 @@ def _cmd_decompose(args, env_cap: Optional[int]) -> int:
             gamma = _parse_perm(args.gamma)
             result = factor.decompose_thm52(p, alpha, args.beta_len, gamma)
     except ValueError as exc:
+        # The error line is all this failure prints: no payload, no lines.
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    if args.format == "json":
-        _emit(result.to_json(), args)
-    else:
-        for f in result.factors:
-            print(f"{to_text(f.perm)}\t{render(f.cls)}")
-    return EXIT_OK
+        return EXIT_FAILED, None, ()
+    lines = (f"{to_text(f.perm)}\t{render(f.cls)}" for f in result.factors)
+    return EXIT_OK, result.to_json(), lines
 
 
-def _cmd_include(args, env_cap: Optional[int]) -> int:
+def _verdict_line(n: int, v: harness.Verdict) -> str:
+    line = f"n={n}: {v.status}"
+    if v.witness is not None:
+        line += f" witness={to_text(v.witness)}"
+    if v.reason is not None:
+        line += f" ({v.reason})"
+    return line
+
+
+def _cmd_include(args, env_cap: Optional[int]) -> _Result:
     lhs = _parse_expr(args.lhs)
     rhs = _parse_expr(args.rhs)
     orders = range(1, args.max_n + 1)
     report = harness.check_inclusion(lhs, rhs, orders, _tighter(MAX_ORDER, env_cap))
-    if args.format == "json":
-        _emit(report.to_json(), args)
-    else:
-        for n in sorted(report.results):
-            v = report.results[n]
-            line = f"n={n}: {v.status}"
-            if v.witness is not None:
-                line += f" witness={to_text(v.witness)}"
-            if v.reason is not None:
-                line += f" ({v.reason})"
-            print(line)
-    if report.failed_orders:
-        return EXIT_FAILED
-    if report.skipped_orders:
-        return EXIT_RESOURCE
-    return EXIT_OK
+    code = _verdict_code(bool(report.failed_orders), bool(report.skipped_orders))
+    return code, report.to_json(), itertools.starmap(_verdict_line, sorted(report.results.items()))
 
 
-def _cmd_suite(args, env_cap: Optional[int]) -> int:
+def _suite_lines(results: list[harness.SuiteResult]) -> Iterator[str]:
+    for r in results:
+        yield f"{r.name}: {r.status} ({r.elapsed:.2f}s)"
+        if r.status == "skip":
+            yield f"  skipped: {r.reason}"
+        for line in r.counterexamples:
+            yield f"  {line}"
+
+
+def _cmd_suite(args, env_cap: Optional[int]) -> _Result:
     names = list(harness.REGISTRY) if args.names == "all" else args.names.split(",")
     names = [n.strip() for n in names if n.strip()]
     if not names:
@@ -208,18 +193,9 @@ def _cmd_suite(args, env_cap: Optional[int]) -> int:
     except harness.UnknownCheckError as exc:
         # A KeyError's str() quotes its message; show it plain, but bounded.
         raise _UsageError(_excerpt(exc.args[0], 0, str)) from None
-    if args.format == "json":
-        _emit({"results": [r.to_json() for r in results]}, args)
-    else:
-        for r in results:
-            print(f"{r.name}: {r.status} ({r.elapsed:.2f}s)")
-            for line in r.counterexamples:
-                print(f"  {line}")
-    if any(r.status == "fail" for r in results):
-        return EXIT_FAILED
-    if any(r.status == "skip" for r in results):
-        return EXIT_RESOURCE
-    return EXIT_OK
+    statuses = {r.status for r in results}
+    code = _verdict_code("fail" in statuses, "skip" in statuses)
+    return code, {"results": [r.to_json() for r in results]}, _suite_lines(results)
 
 
 @functools.cache
@@ -290,13 +266,18 @@ def cli_dispatch(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.run(args, _env_cap())
+        code, payload, lines = args.run(args, _env_cap())
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    if args.format == "json" and payload is not None:
+        lines = [json.dumps(payload, sort_keys=True, separators=(",", ":"))]
+    for line in lines:
+        print(line)
+    return code
 
 
 def main() -> None:

@@ -72,7 +72,6 @@ class InclusionReport:
     lhs: ClassExpr
     rhs: ClassExpr
     results: dict[int, Verdict] = field(default_factory=dict)
-    timings: dict[int, float] = field(default_factory=dict)
 
     @property
     def holds(self) -> bool:
@@ -101,9 +100,10 @@ class SuiteResult:
     status: str  # "pass" | "fail" | "skip"
     counterexamples: list[str]
     elapsed: float
+    reason: Optional[str] = None  # why a skipped check skipped
 
     def to_json(self) -> dict:
-        # Elapsed time is deliberately omitted so equal inputs give identical bytes.
+        # Elapsed time is omitted so equal inputs give identical bytes; reason too.
         return {
             "name": self.name,
             "parameters": self.parameters,
@@ -138,15 +138,13 @@ class MSearchReport:
 def _per_order(
     report: InclusionReport, n_range: Iterable[int], verdict: Callable[[int], Verdict]
 ) -> InclusionReport:
-    """Record verdict(n) and its timing for each order; a resource cap hit
-    makes that order skipped."""
+    """Record verdict(n) for each order; a resource cap hit makes that order
+    skipped."""
     for n in n_range:
-        start = time.perf_counter()
         try:
             report.results[n] = verdict(n)
         except ResourceLimitError as exc:
             report.results[n] = Verdict("skipped", reason=str(exc))
-        report.timings[n] = time.perf_counter() - start
     return report
 
 
@@ -181,17 +179,24 @@ def check_inclusion(
 
 def _compare(
     lhs: ClassExpr,
+    lhs_name: str,
     lhs_members: Callable[[int], Iterable[Permutation]],
     rhs: ClassExpr,
     n_range: Iterable[int],
     max_order: int,
 ) -> InclusionReport:
-    """Set equality of lhs_members(n) with the rhs slice per order; the witness
-    is the lexicographically smallest element of the symmetric difference."""
+    """Set equality of lhs_members(n), named lhs_name, with the rhs slice per
+    order; the witness is the lexicographically smallest element of the
+    symmetric difference, and a failure's reason names the side holding it."""
 
     def verdict(n: int) -> Verdict:
-        diff = set(lhs_members(n)).symmetric_difference(class_slice(rhs, n, max_order))
-        return Verdict("fails", witness=min(diff)) if diff else Verdict("holds")
+        members = set(lhs_members(n))
+        diff = members.symmetric_difference(class_slice(rhs, n, max_order))
+        if not diff:
+            return Verdict("holds")
+        w = min(diff)
+        sides = (lhs_name, render(rhs)) if w in members else (render(rhs), lhs_name)
+        return Verdict("fails", witness=w, reason="in {} but not in {}".format(*sides))
 
     return _per_order(InclusionReport(lhs, rhs), n_range, verdict)
 
@@ -204,7 +209,7 @@ def check_equality(
 ) -> InclusionReport:
     """Slice-level set equality per order; the witness is the lexicographically
     smallest element of the symmetric difference."""
-    return _compare(a, lambda n: class_slice(a, n, max_order), b, n_range, max_order)
+    return _compare(a, render(a), lambda n: class_slice(a, n, max_order), b, n_range, max_order)
 
 
 def _inside(narrow: ClassExpr, wide: ClassExpr, n: int, max_order: int) -> bool:
@@ -222,30 +227,20 @@ def search_m(k: int, l: int, n_max: int, max_order: int = MAX_ORDER) -> MSearchR
     m walks down from k*l, whose orders are all checked.  A narrower m holds at
     order n when m+1 holds there and its order-n slice lies inside m+1's: the
     computed subset test, so the verdict is check_inclusion's for any slices.
-    The other orders (m+1 failed or was skipped, or a slice is refused) go
-    through one check_inclusion call per m."""
-    report = MSearchReport(k, l)
+    The orders left (m+1 failed or was skipped, or a slice is refused) go
+    through one check_inclusion call per m, and none when no order is left."""
     rhs = Comp((IncK(k), IncK(l)))
     orders = range(1, n_max + 1)
+    per_m: dict[int, InclusionReport] = {}
     for m in range(k * l, k + l - 2, -1):
-        lhs, wider = IncK(m), report.per_m.get(m + 1)
-        read_off: dict[int, float] = {}
-        for n in orders:
-            start = time.perf_counter()
-            if (
-                wider is not None
-                and wider.results[n].status == "holds"
-                and _inside(lhs, wider.lhs, n, max_order)
-            ):
-                read_off[n] = time.perf_counter() - start
+        lhs, wider = IncK(m), per_m.get(m + 1)
+        held = [] if wider is None else [n for n in orders if wider.results[n].status == "holds"]
+        read_off = {n for n in held if _inside(lhs, wider.lhs, n, max_order)}
         left = [n for n in orders if n not in read_off]
-        rest = check_inclusion(lhs, rhs, left, max_order) if left else InclusionReport(lhs, rhs)
-        report.per_m[m] = merged = InclusionReport(lhs, rhs)
-        for n in orders:
-            merged.results[n] = Verdict("holds") if n in read_off else rest.results[n]
-            merged.timings[n] = read_off[n] if n in read_off else rest.timings[n]
-    report.per_m = dict(sorted(report.per_m.items()))
-    return report
+        rep = check_inclusion(lhs, rhs, left, max_order) if left else InclusionReport(lhs, rhs)
+        rep.results = {n: Verdict("holds") if n in read_off else rep.results[n] for n in orders}
+        per_m[m] = rep
+    return MSearchReport(k, l, dict(sorted(per_m.items())))
 
 
 def _all_interleavings(segments: list[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
@@ -306,7 +301,8 @@ def check_behaviour(
     with the matching k-parameter atom, order by order."""
     atom = {"V": VertK, "H": HorizK, "I": IncK}[variant](k)
     direct = functools.partial(behaviour_closure, a_expr, k, variant, max_order=max_order)
-    return _compare(a_expr, direct, Comp((a_expr, atom)), n_range, max_order)
+    name = f"the k={k} {variant}-closure of {render(a_expr)}"
+    return _compare(a_expr, name, direct, Comp((a_expr, atom)), n_range, max_order)
 
 
 class UnknownCheckError(KeyError):
@@ -501,9 +497,9 @@ def _search_m_2_2(cap: int) -> Outcome:
         f"m=3 fails at order {n}: {to_text(m_low.results[n].witness)}"
         for n in m_low.failed_orders
     ]
-    refused = m_low.skipped_orders + m_high.skipped_orders
+    refused = [(n, rep.results[n].reason) for rep in (m_low, m_high) for n in rep.skipped_orders]
     if refused and not bad:
-        raise ResourceLimitError(f"search-m-2-2 refused order {min(refused)}")
+        raise ResourceLimitError(min(refused, key=lambda hit: hit[0])[1])
     hit = report.counterexample(4)
     if hit is not None:
         note = f"m=4 counterexample at order {hit[0]}: {to_text(hit[1])}"
@@ -652,23 +648,22 @@ def _run_check(check: Check, n_cap: Optional[int]) -> SuiteResult:
         params[check.cap_key] = cap
     try:
         out = check.body(cap)
-    except ResourceLimitError:
-        return SuiteResult(check.name, params, "skip", [], time.perf_counter() - started)
-    lines = [
-        f"order {n}: {to_text(rep.results[n].witness)} in {render(rep.lhs)} "
-        f"but not in {render(rep.rhs)}"
-        for rep in out.reports
-        for n in rep.failed_orders
-    ]
-    if lines or out.failures:
-        status = "fail"
-    elif any(rep.skipped_orders for rep in out.reports):
-        status = "skip"
+    except ResourceLimitError as exc:
+        out, skipped = Outcome(), [str(exc)]
     else:
-        status = "pass"
-    return SuiteResult(
-        check.name, params, status, lines + out.failures + out.notes, time.perf_counter() - started
-    )
+        skipped = [rep.results[n].reason for rep in out.reports for n in rep.skipped_orders]
+    # An inclusion's witness lies in its lhs; an equality's reason names its side.
+    lines = [
+        f"order {n}: {to_text(v.witness)} "
+        + (v.reason or f"in {render(rep.lhs)} but not in {render(rep.rhs)}")
+        for rep in out.reports
+        for n, v in rep.results.items()
+        if v.status == "fails"
+    ]
+    status = "fail" if lines or out.failures else "skip" if skipped else "pass"
+    reason = skipped[0] if status == "skip" else None
+    lines += out.failures + out.notes
+    return SuiteResult(check.name, params, status, lines, time.perf_counter() - started, reason)
 
 
 def run_suite(names: Sequence[str], n_cap: Optional[int] = None) -> list[SuiteResult]:

@@ -112,7 +112,10 @@ def is_close(a: Permutation, b: Permutation, c: int, l: int) -> bool:
 def merge_split(p: Permutation, tests: Sequence[PartTest]) -> Optional[Coloring]:
     """First k-coloring of p (lexicographic in the assignment) whose parts all
     pass their test, the witness for membership in a merge; or None.  Tests
-    must be downward closed, which lets partial parts be tested for pruning."""
+    must be downward closed, which lets partial parts be tested for pruning.
+    Empty parts with the same test object are interchangeable, so an entry
+    tries only the first of them: the first coloring puts it there if any
+    coloring puts it in one of them."""
     k = len(tests)
     n = len(p)
     vals = p.values
@@ -125,7 +128,12 @@ def merge_split(p: Permutation, tests: Sequence[PartTest]) -> Optional[Coloring]
     def extend(i: int) -> bool:
         if i == n:
             return True
+        tried: list[PartTest] = []  # tests of the empty parts tried for this entry
         for part in range(k):
+            if not parts[part]:
+                if any(t is tests[part] for t in tried):
+                    continue
+                tried.append(tests[part])
             parts[part].append(vals[i])
             if ok(part):
                 assignment.append(part + 1)

@@ -1,8 +1,10 @@
 import argparse
 import json
+import time
 
 import pytest
 
+from permclass import algebra
 from permclass.algebra import basis_up_to, class_slice, count, member, slice_cache
 from permclass.cli import _build_parser, cli_dispatch
 from permclass.exprs import parse_class, render
@@ -292,6 +294,43 @@ def test_oversized_work_is_refused_before_its_loop(capsys, argv, order, count, l
 def test_merge_membership_answers_up_to_the_order_cap(capsys):
     code, out, _ = run(capsys, "member", "--class", "merge(I,D)", "--perm", "2 1 4 3 6 5 8 7 10 9")
     assert (code, out) == (0, "false\n")
+
+
+def test_a_merge_of_ten_equal_parts_tries_one_empty_part_per_entry(capsys):
+    # Trying each of the interchangeable empty parts took minutes here.
+    started = time.perf_counter()
+    code, out, _ = run(
+        capsys, "member", "--class", "merge(I,I,I,I,I,I,I,I,I,I)", "--perm", "11 10 9 8 7 6 5 4 3 2 1"
+    )
+    assert (code, out) == (0, "false\n")
+    assert time.perf_counter() - started < 1
+
+
+def test_a_skipped_check_says_why_in_text_only(capsys, monkeypatch):
+    # lemma-L2-group builds an order-3 product, past the cap, in its body.
+    monkeypatch.setenv("PERMCLASS_MAX_N", "2")
+    code, out, _ = run(capsys, "suite", "--names", "lemma-L2-group")
+    assert code == 3
+    assert out.splitlines()[1:] == ["  skipped: enumeration at order 3 exceeds cap 2"]
+    assert run(capsys, "--format", "json", "suite", "--names", "lemma-L2-group") == (3, (
+        '{"results":[{"counterexamples":[],"name":"lemma-L2-group",'
+        '"parameters":{"max_n":2},"status":"skip"}]}\n'
+    ), "")
+
+
+def test_a_skipped_search_m_names_the_refused_order_and_the_limit(capsys, monkeypatch):
+    # Orders 6 and 7 need more product pairs than the limit, for both m.
+    monkeypatch.setattr(algebra, "MAX_PAIRS", 10000)
+    slice_cache().clear()
+    try:
+        code, out, _ = run(capsys, "suite", "--names", "search-m-2-2", "--max-n", "7")
+    finally:
+        slice_cache().clear()
+    assert code == 3
+    assert out.splitlines()[0].startswith("search-m-2-2: skip (")
+    assert out.splitlines()[1:] == [
+        "  skipped: order 6 needs 17424 product pairs, over the limit 10000"
+    ]
 
 
 def test_unknown_suite_names_are_echoed_plain_and_bounded(capsys):

@@ -5,6 +5,8 @@ from permclass.algebra import MAX_ORDER, SliceCache, class_slice, member, slice_
 from permclass.exprs import Comp, IncK, canonical_render, parse_class, render
 from permclass.harness import (
     REGISTRY,
+    Check,
+    Outcome,
     InclusionReport,
     MSearchReport,
     UnknownCheckError,
@@ -17,7 +19,7 @@ from permclass.harness import (
     search_m,
     _increasing_colorable,
 )
-from permclass.perms import all_perms, compose, decreasing, from_text, lds, to_text
+from permclass.perms import all_perms, compose, decreasing, from_text, identity, lds, to_text
 
 import pytest
 
@@ -236,6 +238,38 @@ def test_equality_witness_in_symmetric_difference():
     assert report.results[4].witness == from_text("2143")
 
 
+@pytest.mark.parametrize("pair", [("Vk(2)", "Ik(2)"), ("Ik(2)", "Vk(2)")])
+def test_an_equality_failure_names_the_side_holding_the_witness(pair):
+    # 2143 is the first permutation in one class and not the other: it lies in
+    # Ik(2), whichever side Ik(2) is on.
+    check = Check("x", 4, {}, harness._slice_pairs(pair, equal=True))
+    result = harness._run_check(check, None)
+    assert result.status == "fail"
+    assert result.counterexamples == ["order 4: 2143 in Ik(2) but not in Vk(2)"]
+
+
+@pytest.mark.parametrize("order, edit, line", [
+    (2, lambda got, n: got - {identity(n)},
+     "order 2: 12 in comp(Av(21),Hk(2)) but not in the k=2 H-closure of Av(21)"),
+    (3, lambda got, n: got | {decreasing(n)},
+     "order 3: 321 in the k=2 H-closure of Av(21) but not in comp(Av(21),Hk(2))"),
+])
+def test_a_behaviour_failure_names_the_closure(monkeypatch, order, edit, line):
+    # The lemma holds, so the closure is edited at one order to make it fail.
+    real = harness.behaviour_closure
+
+    def closure(a, k, variant, n, max_order=MAX_ORDER):
+        got = real(a, k, variant, n, max_order)
+        return edit(got, n) if n == order else got
+
+    monkeypatch.setattr(harness, "behaviour_closure", closure)
+    av21 = parse_class("Av(21)")
+    body = lambda cap: Outcome(reports=[check_behaviour(av21, 2, "H", range(1, cap + 1), cap)])
+    result = harness._run_check(Check("x", 3, {}, body), None)
+    assert result.status == "fail"
+    assert result.counterexamples == [line]
+
+
 def test_search_m_shape():
     report = search_m(2, 2, 5)
     assert sorted(report.per_m) == [3, 4]
@@ -342,6 +376,20 @@ def test_search_m_2_2_skips_when_an_order_is_refused(monkeypatch, fresh_cache):
     (result,) = run_suite(["search-m-2-2"], n_cap=7)
     assert result.status == "skip"
     assert result.counterexamples == []
+
+
+def test_a_skipped_check_keeps_its_reason_out_of_the_json(monkeypatch, fresh_cache):
+    # A refused order skips the check with that order's reason; a refusal
+    # raised by the body skips it with the error's text.
+    monkeypatch.setattr(algebra, "MAX_PAIRS", 0)
+    (result,) = run_suite(["lemma-kl"])
+    assert (result.status, result.reason) == ("skip", "order 1 needs 1 product pairs, over the limit 0")
+    assert "reason" not in result.to_json()
+    monkeypatch.setattr(algebra, "MAX_PAIRS", 10000)
+    (result,) = run_suite(["search-m-2-2"], n_cap=7)
+    assert result.reason == "order 6 needs 17424 product pairs, over the limit 10000"
+    (result,) = run_suite(["count-L2"], n_cap=4)
+    assert (result.status, result.reason) == ("pass", None)
 
 
 def fake_search(failing, refused=()):

@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from permclass.algebra import member
+from permclass.algebra import MAX_ORDER, _part_tests, member
 from permclass.exprs import Dec, Inc, parse_class
 from permclass import structure
 from permclass.perms import (
@@ -132,6 +132,49 @@ def test_coloring_search_prunes_with_predicates():
 
     assert merge_split(from_text("12"), [pred]) is None
     assert merge_split(from_text("12"), [pred, pred]) is not None
+
+
+def unpruned_merge_split(p, tests):
+    """merge_split as a plain backtracking search: every part, empty or not,
+    is tried at every entry."""
+    parts = [[] for _ in tests]
+    assignment = []
+
+    def extend(i):
+        if i == len(p):
+            return True
+        for part, test in enumerate(tests):
+            parts[part].append(p.values[i])
+            if test(pattern_of(parts[part])):
+                assignment.append(part + 1)
+                if extend(i + 1):
+                    return True
+                assignment.pop()
+            parts[part].pop()
+        return False
+
+    if all(test(EMPTY) for test in tests) and extend(0):
+        return Coloring(tuple(assignment))
+    return None
+
+
+@pytest.mark.parametrize("text", [
+    "merge(I,I)", "merge(I,I,I)", "merge(I,D,I)", "merge(Ik(2),I,Ik(2))",
+    "merge(Av(21),Av(12),Av(21))",
+])
+def test_merge_split_tries_equal_empty_parts_once_with_the_same_colorings(text):
+    tests = _part_tests(parse_class(text), MAX_ORDER, None)
+    assert tests[0] is tests[-1]
+    for n in range(7):
+        for p in all_perms(n):
+            assert merge_split(p, tests) == unpruned_merge_split(p, tests), (text, p)
+
+
+def test_merge_split_tries_empty_parts_with_different_tests():
+    # 312 lies in merge(I,D) only as (2,1,1): 3 starts the second empty part.
+    tests = _part_tests(parse_class("merge(I,D)"), MAX_ORDER, None)
+    assert tests[0] is not tests[1]
+    assert merge_split(from_text("312"), tests) == Coloring((2, 1, 1))
 
 
 def test_vertical_horizontal_split_oracles():
