@@ -4,8 +4,8 @@ counts, colorings, splits.
 The merge, vertical and horizontal split searches take one membership test
 per part, a `Permutation -> bool` callable that must be downward closed; the
 module knows nothing of class expressions.  Every search returns its
-lexicographically first witness (colorings by backtracking, V/H splits by one
-greedy pass), so outputs are reproducible.
+lexicographically first witness (colorings by backtracking; V/H splits and
+the value split `jv_split` by one greedy pass), so outputs are reproducible.
 """
 from __future__ import annotations
 
@@ -202,41 +202,39 @@ def jv_split(
     """Split p into value sequences (a, c) such that a avoids alpha+beta, c avoids
     beta+gamma, and no element of a follows and exceeds an element of c.
 
-    Requires p to avoid the direct sum alpha+beta+gamma; existence of the split
-    is then guaranteed, so exhausting the search raises SplitContractError.
-    Colorings are searched lexicographically with 'a' tried before 'c', by
-    backtracking on an explicit stack of labels, one per labelled entry.
+    Requires p to avoid the direct sum alpha+beta+gamma (a ValueError if not).
+    One left-to-right pass puts each entry v in a when v lies below every c
+    entry so far and a + [v] avoids alpha+beta, else in c when c + [v] avoids
+    beta+gamma.  This is the lexicographically first labelling, 'a' before 'c'.
+
+    The pass never gets stuck, for any non-empty beta.  Suppose v fits neither
+    part.  Then c + [v] holds beta+gamma: entries x_1..x_b forming beta, left
+    to right, then gamma's entries above every x_i and right of x_b.  Let z be
+    the least value of c + [v] once x_b is placed, so z <= every x_i and z
+    comes no later than x_b.  z lay below every c entry placed before it, so
+    it missed a only because a + [z] held alpha+beta ending at z: alpha's
+    entries A, below z and left of beta's other entries B.  If all of A lies
+    left of x_1, then A, x_1..x_b and gamma's entries form alpha+beta+gamma.
+    Otherwise some entry of A follows x_1, so every entry of B went into a
+    while x_1 was in c and lies below x_1; then A, B + [z] and gamma's entries
+    form alpha+beta+gamma.  Either way p contains alpha+beta+gamma, against
+    the precondition.  So SplitContractError, raised when v fits neither
+    part, signals a bug.
     """
     whole = direct_sum(direct_sum(alpha, beta), gamma)
     if contains(p, whole) is not None:
         raise ValueError(f"{p} contains {whole}; precondition violated")
     ab = direct_sum(alpha, beta)
     bg = direct_sum(beta, gamma)
-    vals = p.values
     a_part: list[int] = []
     c_part: list[int] = []
-    in_a: list[bool] = []  # the label of each entry so far, True for 'a'
-    try_a = True
-    while len(in_a) < len(vals):
-        v = vals[len(in_a)]
-        # label 'a': every earlier c element must not be smaller than v
-        a_ok = try_a and all(cv > v for cv in c_part)
-        if a_ok and contains(pattern_of(a_part + [v]), ab) is None:
+    low = len(p) + 1  # the least c entry so far
+    for v in p.values:
+        if v < low and contains(pattern_of(a_part + [v]), ab) is None:
             a_part.append(v)
-            in_a.append(True)
         elif contains(pattern_of(c_part + [v]), bg) is None:
             c_part.append(v)
-            in_a.append(False)
+            low = min(low, v)
         else:
-            # Neither label works: unlabel back to the last 'a' and try 'c' there.
-            while in_a and not in_a[-1]:
-                in_a.pop()
-                c_part.pop()
-            if not in_a:
-                raise SplitContractError(f"no witness split for {p}; the guarantee failed")
-            in_a.pop()
-            a_part.pop()
-            try_a = False
-            continue
-        try_a = True
+            raise SplitContractError(f"no witness split for {p}; the guarantee failed")
     return tuple(a_part), tuple(c_part)

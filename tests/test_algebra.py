@@ -179,6 +179,14 @@ def test_empty_order_slices():
         assert count(parse_class(text), 9) == [0] * 9, text
 
 
+@pytest.mark.parametrize("text", ["merge(Av([ ]),I)", "V(Av([ ]),I)", "H(Av([ ]),I)"])
+def test_a_split_with_an_empty_class_child_is_empty(text):
+    # Av([ ]) holds no permutation, not even e, so no split can fill that part.
+    expr = parse_class(text)
+    assert not member(expr, from_text("e")) and not member(expr, from_text("1"))
+    assert count(expr, 3) == [0, 0, 0]
+
+
 EVERY_NODE_TYPE = [
     "I", "D", "L", "F2", "All", "Ik(0)", "Ik(2)", "Dk(2)", "Lk(3)", "Vk(2)", "Hk(3)",
     "Av(321,2413)", "Av([ ])", "V(I,D)", "H(I,I)", "V(comp(Lk(2),Lk(2)),I)",

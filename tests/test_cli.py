@@ -181,9 +181,21 @@ def test_include_holds_and_fails(capsys):
 
 def test_include_resource_cap(capsys, monkeypatch):
     monkeypatch.setenv("PERMCLASS_MAX_N", "3")
-    code, out, _ = run(capsys, "include", "--lhs", "I", "--rhs", "comp(I,I)", "--max-n", "5")
+    argv = ["include", "--lhs", "I", "--rhs", "comp(I,I)", "--max-n", "5"]
+    code, out, _ = run(capsys, *argv)
     assert code == 3
-    assert "skipped" in out
+    assert out.splitlines() == [
+        "n=1: holds",
+        "n=2: holds",
+        "n=3: holds",
+        "n=4: skipped (enumeration at order 4 exceeds cap 3)",
+        "n=5: skipped (enumeration at order 5 exceeds cap 3)",
+    ]
+    assert run(capsys, "--format", "json", *argv) == (3, (
+        '{"lhs":"I","results":{"1":{"status":"holds"},"2":{"status":"holds"},"3":{"status":"holds"},'
+        '"4":{"reason":"enumeration at order 4 exceeds cap 3","status":"skipped"},'
+        '"5":{"reason":"enumeration at order 5 exceeds cap 3","status":"skipped"}},"rhs":"comp(I,I)"}\n'
+    ), "")
 
 
 def test_suite_subcommand(capsys):
@@ -191,6 +203,13 @@ def test_suite_subcommand(capsys):
     assert code == 0
     assert "count-L2: pass" in out and "basis-H-size3: pass" in out
     assert run(capsys, "suite", "--names", "no-such-check")[0] == 2
+
+
+def test_text_suite_prints_the_note_lines_under_each_result(capsys):
+    code, out, _ = run(capsys, "suite", "--names", "search-m-2-2", "--max-n", "5")
+    assert code == 0
+    assert out.splitlines()[0].startswith("search-m-2-2: pass (")
+    assert out.splitlines()[1:] == ["  m=4: no counterexample found up to order 5"]
 
 
 def test_json_output_stable(capsys):

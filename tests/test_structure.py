@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import random
 import sys
 import time
 import zlib
@@ -244,9 +245,9 @@ def test_jv_split_oracles():
         jv_split(from_text("123"), one, one, one)
 
 
-def _jv_split_recursive(p, alpha, beta, gamma, contains=contains):
+def _jv_split_recursive(p, alpha, beta, gamma):
     """The search as one recursive call per entry, 'a' tried before 'c': the
-    reference for the explicit-stack search."""
+    reference for the greedy pass."""
     ab, bg = direct_sum(alpha, beta), direct_sum(beta, gamma)
     vals = p.values
     a_part, c_part = [], []
@@ -271,26 +272,53 @@ def _jv_split_recursive(p, alpha, beta, gamma, contains=contains):
     return tuple(a_part), tuple(c_part)
 
 
+# (alpha, beta, gamma) cases, with beta of every shape up to order 3 but 123
+# and 321, and some with alpha or gamma empty.
+JV_CASES = [
+    tuple(map(from_text, case))
+    for case in (
+        ("1", "1", "1"), ("21", "1", "21"), ("1", "21", "1"), ("1", "1", "21"),
+        ("e", "12", "1"), ("1", "132", "e"), ("e", "231", "e"), ("21", "312", "e"),
+    )
+]
+
+
+def _random_avoider(rng, n, whole):
+    """A random avoider of whole of order n, grown one entry at a time: a
+    random value at a random position when the result still avoids whole,
+    else a new maximum at the front.  No direct sum of two or more non-empty
+    parts starts with its maximum, so the front maximum is in no occurrence."""
+    vals = []
+    for m in range(1, n + 1):
+        v, i = rng.randint(1, m), rng.randint(0, m - 1)
+        grown = [u + (u >= v) for u in vals]
+        grown.insert(i, v)
+        vals = grown if contains(pattern_of(grown), whole) is None else [m] + vals
+    return pattern_of(vals)
+
+
 def test_jv_split_matches_the_recursive_search():
-    # Each case backtracks on some inputs: 'a' works for an entry but leaves
-    # no label for a later one.
-    for alpha, beta_len, gamma in (("1", 1, "1"), ("21", 1, "21"), ("1", 2, "1"), ("1", 1, "21")):
-        alpha, beta, gamma = from_text(alpha), decreasing(beta_len), from_text(gamma)
+    # The greedy pass is the recursive search's first labelling: on a genuine
+    # input that search never undoes a label.
+    rng = random.Random(23)
+    for alpha, beta, gamma in JV_CASES:
         whole = direct_sum(direct_sum(alpha, beta), gamma)
-        for n in range(0, 7):
-            for p in all_perms(n):
-                if contains(p, whole) is None:
-                    want = _jv_split_recursive(p, alpha, beta, gamma)
-                    assert jv_split(p, alpha, beta, gamma) == want, (p, alpha, beta, gamma)
+        avoiders = [p for n in range(0, 7) for p in all_perms(n) if contains(p, whole) is None]
+        avoiders += [_random_avoider(rng, rng.randint(9, 40), whole) for _ in range(25)]
+        for p in avoiders:
+            want = _jv_split_recursive(p, alpha, beta, gamma)
+            assert jv_split(p, alpha, beta, gamma) == want, (p, alpha, beta, gamma)
 
 
-def test_jv_split_backtracks_like_the_recursive_search(monkeypatch):
-    # Genuine inputs have not been seen to need more than one label undone, so
-    # a fixed, arbitrary avoidance test for the two parts stands in for
-    # contains: it sends the search back over many entries, and through the
-    # whole tree when no labelling passes it.
+def test_jv_split_keeps_its_contract_under_an_arbitrary_oracle(monkeypatch):
+    # A fixed, arbitrary avoidance test for the two parts stands in for
+    # contains, so the pass also meets entries that fit neither part.  Each
+    # input either splits into parts the oracle accepts (it rejects the empty
+    # part, which the pass never asks about), with no a entry after and above
+    # a c entry, or raises SplitContractError.
     real = structure.contains
     one = from_text("1")
+    ab = bg = direct_sum(one, one)
 
     def arbitrary(host, pattern):
         if len(pattern) == 3:  # the precondition's 123
@@ -304,20 +332,22 @@ def test_jv_split_backtracks_like_the_recursive_search(monkeypatch):
             if real(p, from_text("123")) is not None:
                 continue
             try:
-                want = _jv_split_recursive(p, one, one, one, arbitrary)
+                a_vals, c_vals = jv_split(p, one, one, one)
             except SplitContractError:
-                with pytest.raises(SplitContractError):
-                    jv_split(p, one, one, one)
                 outcomes.add("none")
                 continue
-            assert jv_split(p, one, one, one) == want, p
+            assert sorted(a_vals + c_vals) == sorted(p.values)
+            assert not a_vals or arbitrary(pattern_of(a_vals), ab) is None
+            assert not c_vals or arbitrary(pattern_of(c_vals), bg) is None
+            pos = {v: i for i, v in enumerate(p.values)}
+            assert all(pos[av] < pos[cv] or av < cv for av in a_vals for cv in c_vals), p
             outcomes.add("split")
     assert outcomes == {"none", "split"}
 
 
 def test_jv_split_runs_past_the_recursion_limit():
-    # The labels sit on an explicit stack, so an input longer than the
-    # recursion limit leaves it is split all the same.
+    # The pass is a loop, so an input longer than the recursion limit leaves
+    # is split all the same.
     one, limit = from_text("1"), sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
