@@ -120,21 +120,31 @@ def member(
 
 
 def member_independent(expr: ClassExpr, p: Permutation, max_order: int = MAX_ORDER) -> bool:
-    """Cache-bypassing membership used to re-verify witnesses.
+    """Cache-bypassing membership used to re-verify witnesses, on one fresh cache.
 
-    Compositions are decided by iterating the rightmost factor's slice instead
-    of looking the permutation up in a memoized product slice.
+    comp(A1,...,Ak), with a product in first place opened into its factors, is
+    searched depth first: p is a member when some q_k, ..., q_2 from the
+    slices of A_k, ..., A_2 leave p o q_k^-1 o ... o q_2^-1 in A1.  No product
+    slice is built.  Any other class is decided by `member`.
     """
-    if isinstance(expr, Comp):
-        n = len(p)
-        head = expr.children[0] if len(expr.children) == 2 else Comp(expr.children[:-1])
-        last = expr.children[-1]
-        scratch = SliceCache()
-        for q in class_slice(last, n, max_order, scratch):
-            if member_independent(head, compose(p, inverse(q)), max_order):
+    scratch = SliceCache()
+    factors: list[ClassExpr] = []
+    while isinstance(expr, Comp):
+        factors[:0] = expr.children[1:]
+        expr = expr.children[0]
+    # One iterator per factor chosen so far, over p o q_k^-1 o ... o q_j^-1.
+    stack: list[Iterator[Permutation]] = [iter([p])]
+    while stack:
+        r = next(stack[-1], None)
+        if r is None:
+            stack.pop()
+        elif len(stack) > len(factors):
+            if member(expr, r, max_order, scratch):
                 return True
-        return False
-    return member(expr, p, max_order, cache=SliceCache())
+        else:
+            qs = class_slice(factors[-len(stack)], len(r), max_order, scratch)
+            stack.append(map(compose, repeat(r), map(inverse, qs)))
+    return False
 
 
 def _descents(p: Permutation) -> int:
@@ -192,15 +202,12 @@ def _grow(expr: ClassExpr, n: int, max_order: int, cache: SliceCache) -> Iterato
     """The extensions of the order-(n-1) slice: those its row admits, or else
     those that `member` accepts.
 
-    Missing lower orders are built first, bottom up, each through class_slice,
-    so every build finds the order below it cached: no recursion in n.
+    Every lower order is asked for first, bottom up, each through class_slice,
+    so every build finds the orders below it cached: no recursion in n.
     """
     if n == 0:
         return {b""} if member(expr, EMPTY, max_order, cache) else set()
-    key, low = canonical_render(expr), n - 1
-    while low > 0 and (key, low - 1) not in cache:
-        low -= 1
-    for m in range(low, n):
+    for m in range(n):
         below = class_slice(expr, m, max_order, cache)
     admits = _RULES[type(expr)].admits
     if admits:
@@ -237,15 +244,14 @@ def _split(
     factors: Sequence[ClassExpr], n: int, max_order: int, cache: SliceCache
 ) -> tuple[AbstractSet[bytes], AbstractSet[bytes]]:
     """(left, acc): the first factor's members and the partial product of the
-    others, built right to left from the same batches.  The pair limit of each
-    level is checked before its first batch."""
-    first, *others = factors
-    if len(others) == 1:
-        acc = class_slice(others[0], n, max_order, cache).members
-    else:
-        acc = set(chain.from_iterable(_batches(*_split(others, n, max_order, cache), n)))
-    left = class_slice(first, n, max_order, cache).members
-    _check_work(n, len(left) * len(acc), MAX_PAIRS, "product pairs")
+    others, folded right to left from the same batches in one loop.  The pair
+    limit of each level is checked before its first batch."""
+    acc = class_slice(factors[-1], n, max_order, cache).members
+    for i in reversed(range(len(factors) - 1)):
+        left = class_slice(factors[i], n, max_order, cache).members
+        _check_work(n, len(left) * len(acc), MAX_PAIRS, "product pairs")
+        if i:
+            acc = set(chain.from_iterable(_batches(left, acc, n)))
     return left, acc
 
 

@@ -4,8 +4,9 @@ counts, colorings, splits.
 The merge, vertical and horizontal split searches take one membership test
 per part, a `Permutation -> bool` callable that must be downward closed; the
 module knows nothing of class expressions.  Every search returns its
-lexicographically first witness (colorings by backtracking; V/H splits and
-the value split `jv_split` by one greedy pass), so outputs are reproducible.
+lexicographically first witness (colorings by backtracking on an explicit
+stack, so no search recurses on the order; V/H splits and the value split
+`jv_split` by one greedy pass), so outputs are reproducible.
 """
 from __future__ import annotations
 
@@ -115,40 +116,30 @@ def merge_split(p: Permutation, tests: Sequence[PartTest]) -> Optional[Coloring]
     must be downward closed, which lets partial parts be tested for pruning.
     Empty parts with the same test object are interchangeable, so an entry
     tries only the first of them: the first coloring puts it there if any
-    coloring puts it in one of them."""
-    k = len(tests)
-    n = len(p)
-    vals = p.values
-    parts: list[list[int]] = [[] for _ in range(k)]
-    assignment: list[int] = []
-
-    def ok(part: int) -> bool:
-        return tests[part](pattern_of(parts[part]))
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        tried: list[PartTest] = []  # tests of the empty parts tried for this entry
-        for part in range(k):
-            if not parts[part]:
-                if any(t is tests[part] for t in tried):
-                    continue
-                tried.append(tests[part])
-            parts[part].append(vals[i])
-            if ok(part):
-                assignment.append(part + 1)
-                if extend(i + 1):
-                    return True
-                assignment.pop()
-            parts[part].pop()
-        return False
-
+    coloring puts it in one of them.  The search backtracks on the list of
+    chosen parts, which is the assignment."""
     if not all(test(EMPTY) for test in tests):
         # A downward-closed test that rejects the empty part rejects every part.
         return None
-    if extend(0):
-        return Coloring(tuple(assignment))
-    return None
+    k, vals = len(tests), p.values
+    parts: list[list[int]] = [[] for _ in range(k)]
+    chosen: list[int] = []  # the part of each entry placed so far
+    part = 0  # the next part to try for entry len(chosen)
+    while len(chosen) < len(vals):
+        if part == k:
+            if not chosen:
+                return None
+            part = chosen.pop()
+            parts[part].pop()
+        elif parts[part] or all(parts[j] or tests[j] is not tests[part] for j in range(part)):
+            parts[part].append(vals[len(chosen)])
+            if tests[part](pattern_of(parts[part])):
+                chosen.append(part)
+                part = 0
+                continue
+            parts[part].pop()
+        part += 1
+    return Coloring(tuple(part + 1 for part in chosen))
 
 
 def _compositions(total: int, parts: int):

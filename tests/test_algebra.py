@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -258,6 +261,61 @@ def test_member_independent_agrees_on_compositions():
     for n in range(0, 5):
         for p in all_perms(n):
             assert member_independent(expr, p) == member(expr, p)
+    # Past two factors, with a product in first place and empty factors.  The
+    # first five classes are the same under p o q for p o q^-1 up to order 5;
+    # the last three are not, as Av(231) and Vk(2) are not closed under
+    # inverse, and comp(I,D,Av(231)) changes when its last two factors swap.
+    for text in (
+        "comp(Ik(2),Vk(2),Hk(2))",
+        "comp(Vk(2),Av(231),D)",
+        "comp(comp(I,D),Ik(2))",
+        "comp(Ik(2),Av([ ]),Vk(2))",
+        "comp(Ik(0),I)",
+        "comp(I,D,Av(231))",
+        "comp(I,Vk(2),D)",
+        "comp(comp(D,I),Av(231))",
+    ):
+        expr = parse_class(text)
+        for n in range(0, 6):
+            for p in all_perms(n):
+                want = member(expr, p, cache=SliceCache())
+                assert member_independent(expr, p) == want, (text, str(p))
+
+
+def under_a_low_recursion_limit(call):
+    """call() with the recursion limit 100 frames above the current depth, so
+    a recursion once per factor or per entry of a 300-long input fails."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        return call()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# A product of 300 factors: its slices are small, its width is not.
+WIDE_PRODUCT = "comp(" + ",".join(["I"] * 300) + ")"
+
+
+def test_a_wide_product_is_folded_without_recursion():
+    expr = parse_class(WIDE_PRODUCT)
+    assert under_a_low_recursion_limit(lambda: member(expr, identity(5), cache=SliceCache()))
+    assert not under_a_low_recursion_limit(lambda: member(expr, from_text("21"), cache=SliceCache()))
+
+
+def test_counting_a_wide_product_runs_without_recursion():
+    expr = parse_class(WIDE_PRODUCT)
+    slice_cache().clear()
+    try:
+        assert under_a_low_recursion_limit(lambda: count(expr, 3)) == [1, 1, 1]
+    finally:
+        slice_cache().clear()
+
+
+def test_member_independent_searches_a_wide_product_without_recursion():
+    expr = parse_class(WIDE_PRODUCT)
+    assert under_a_low_recursion_limit(lambda: member_independent(expr, identity(5)))
+    assert not under_a_low_recursion_limit(lambda: member_independent(expr, from_text("21")))
 
 
 def test_member_independent_ignores_global_cache_in_splits():

@@ -41,6 +41,13 @@ def test_parse_error_exit_2(capsys):
     assert code == 2
 
 
+def test_a_bad_literal_and_a_zero_beta_len_print_one_exact_line(capsys):
+    got = run(capsys, "member", "--class", "Av(", "--perm", "1")
+    assert got == (2, "", "error: bad class expression 'Av(': expected a permutation literal (at position 3)\n")
+    got = run(capsys, "decompose", "--method", "thm52", "--beta-len", "0", "--perm", "21")
+    assert got == (1, "", "error: beta_len must be positive\n")
+
+
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "member", "--class", "I")[0] == 2
     assert run(capsys, "bogus-subcommand")[0] == 2

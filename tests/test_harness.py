@@ -23,6 +23,8 @@ from permclass.perms import all_perms, compose, decreasing, from_text, identity,
 
 import pytest
 
+from test_algebra import WIDE_PRODUCT, under_a_low_recursion_limit
+
 
 MANIFEST = [
     "fact-basic-equiv",
@@ -143,6 +145,16 @@ STREAMED_INCLUSIONS = [
     ("comp(Ik(2),Ik(2))", "comp(Vk(2),Hk(2))"),
     ("comp(Vk(2),Hk(2))", "comp(Ik(2),Ik(2))"),
 ]
+
+
+def test_inclusion_into_a_wide_product_runs_without_recursion(fresh_cache):
+    # The product is folded and the witness re-verified in loops, so 300
+    # factors need no frame each.
+    rhs = parse_class(WIDE_PRODUCT)
+    report = under_a_low_recursion_limit(
+        lambda: check_inclusion(parse_class("Ik(2)"), rhs, range(1, 3))
+    )
+    assert report.results == {1: Verdict("holds"), 2: Verdict("fails", witness=from_text("21"))}
 
 
 def test_streamed_inclusion_matches_per_member_scan():
@@ -428,6 +440,49 @@ def test_search_m_2_2_fails_on_an_m3_failure_at_any_order(monkeypatch):
         "m=3 fails at order 9: 987654321",
         "m=4: no counterexample found up to order 7",
     ]
+
+
+def test_search_m_2_2_notes_an_m4_counterexample_and_still_passes(monkeypatch):
+    # m=4 fails at order 10 (the README's reproducer); a later failure is
+    # recorded first, and the earliest order is still the one reported.
+    w = from_text("4 3 2 7 6 5 10 9 8 1")
+
+    def search(k, l, n_max, max_order=MAX_ORDER):
+        report = fake_search(set())(k, l, n_max, max_order)
+        report.per_m[4].results[11] = Verdict("fails", witness=decreasing(11))
+        report.per_m[4].results[10] = Verdict("fails", witness=w)
+        return report
+
+    monkeypatch.setattr(harness, "search_m", search)
+    (result,) = run_suite(["search-m-2-2"])
+    assert result.status == "pass"
+    assert result.counterexamples == ["m=4 counterexample at order 10: 4 3 2 7 6 5 10 9 8 1"]
+    assert harness.search_m(2, 2, 9).counterexample(4) == (10, w)
+
+
+def test_search_m_checks_an_order_whose_read_off_is_refused(monkeypatch, fresh_cache):
+    # The subset test meets a refusal at order 4 for m=3: that order goes to
+    # check_inclusion, which is refused too and reports it skipped with the
+    # refusal's reason; every other order is read off as holding.
+    real_slice, real_inclusion, asked = harness.class_slice, harness.check_inclusion, []
+
+    def refusing_slice(expr, n, *args):
+        if (render(expr), n) == ("Ik(3)", 4):
+            raise algebra.ResourceLimitError("Ik(3) refused at order 4")
+        return real_slice(expr, n, *args)
+
+    def spy(lhs, rhs, n_range, *args):
+        asked.append((render(lhs), list(n_range)))
+        return real_inclusion(lhs, rhs, n_range, *args)
+
+    monkeypatch.setattr(harness, "class_slice", refusing_slice)
+    monkeypatch.setattr(harness, "check_inclusion", spy)
+    report = search_m(2, 2, 6)
+    assert asked == [("Ik(4)", [1, 2, 3, 4, 5, 6]), ("Ik(3)", [4])]
+    m3 = report.per_m[3].results
+    assert m3[4] == Verdict("skipped", reason="Ik(3) refused at order 4")
+    assert all(m3[n] == Verdict("holds") for n in (1, 2, 3, 5, 6))
+    assert report.per_m[4].holds
 
 
 def test_behaviour_closure_matches_composition():

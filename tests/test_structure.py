@@ -1,7 +1,5 @@
-import inspect
 import itertools
 import random
-import sys
 import time
 import zlib
 from functools import partial
@@ -38,6 +36,7 @@ from permclass.structure import (
     normalize_short_layers,
     vertical_split,
 )
+from test_algebra import under_a_low_recursion_limit
 
 
 def member_tests(*constraints):
@@ -345,15 +344,18 @@ def test_jv_split_keeps_its_contract_under_an_arbitrary_oracle(monkeypatch):
     assert outcomes == {"none", "split"}
 
 
+def test_merge_membership_backtracks_past_the_recursion_limit():
+    # The search keeps its chosen parts on a list, so an order-300 input
+    # needs no frame per entry.
+    expr = parse_class("merge(I,D)")
+    assert under_a_low_recursion_limit(lambda: member(expr, identity(300), 300))
+
+
 def test_jv_split_runs_past_the_recursion_limit():
-    # The pass is a loop, so an input longer than the recursion limit leaves
-    # is split all the same.
-    one, limit = from_text("1"), sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
-    try:
-        got = jv_split(decreasing(200), one, one, one)
-    finally:
-        sys.setrecursionlimit(limit)
+    # The pass is a loop, so an input longer than the recursion limit is
+    # split all the same.
+    one = from_text("1")
+    got = under_a_low_recursion_limit(lambda: jv_split(decreasing(200), one, one, one))
     assert got == (tuple(range(200, 0, -1)), ())
 
 
