@@ -13,9 +13,11 @@ order in a plain dict.  An inclusion into a product strikes batches of
 products until fewer members are left than batches, then tests each member p:
 is some p o b^-1 in the first factor?
 
-A slice holds its members as byte strings, so none is built past order 255;
-only this module reads them.  `in`, iteration and `len` speak `Permutation`;
-`rows` gives the members' values as lists.
+A slice holds its members as byte strings, so none is built past order 255.
+Outside this module only harness reads them: `_inside` and `_lemma_l2_group`
+compare `.members`, and `_lemma_blocks` composes them through `_batches`.
+`in`, iteration and `len` speak `Permutation`; `rows` gives the members'
+values as lists.
 """
 from __future__ import annotations
 

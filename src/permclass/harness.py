@@ -40,11 +40,13 @@ from .exprs import (
 from .perms import (
     Permutation,
     all_perms,
+    compose,
     contains,
     decreasing,
     direct_sum,
     from_text,
     identity,
+    inverse,
     lds,
     to_text,
 )
@@ -243,21 +245,6 @@ def search_m(k: int, l: int, n_max: int, max_order: int = MAX_ORDER) -> MSearchR
     return MSearchReport(k, l, dict(sorted(per_m.items())))
 
 
-def _all_interleavings(segments: list[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
-    """Every merge of the segments preserving each segment's internal order."""
-    sizes = [len(s) for s in segments]
-    labels = []
-    for idx, size in enumerate(sizes):
-        labels.extend([idx] * size)
-    for order in set(itertools.permutations(labels)):
-        pointers = [0] * len(segments)
-        out = []
-        for lab in order:
-            out.append(segments[lab][pointers[lab]])
-            pointers[lab] += 1
-        yield tuple(out)
-
-
 def behaviour_closure(
     a_expr: ClassExpr, k: int, variant: str, n: int, max_order: int = MAX_ORDER
 ) -> set[Permutation]:
@@ -267,27 +254,30 @@ def behaviour_closure(
     - "V": arbitrary subsequences, concatenated in order;
     - "H": contiguous subsequences, interleaved every way;
     - "I": arbitrary subsequences, interleaved every way.
-    """
+
+    A division labels each position with its piece, 0..k-1: any label
+    sequence for V and I, only a non-decreasing one for H, whose pieces are
+    contiguous.  A recombination reads the pieces back along a sequence of the
+    same labels: the sorted one for V (concatenation), any for H and I (every
+    interleaving).  The positions read, in turn, form a reordering r, the same
+    for every member alpha, and the result is alpha o r.  With by(L) the
+    positions stably sorted by their label in L, the i-th read of label j is
+    the i-th position of piece j, so r = by(division) o by(reading)^-1, where
+    by of a sorted sequence is the identity.  The reorderings are built once."""
     if variant not in ("V", "H", "I"):
         raise ValueError(f"unknown variant {variant!r}")
-    out: set[Permutation] = set()
-    for alpha in class_slice(a_expr, n, max_order):
-        vals = alpha.values
-        if variant == "H":
-            for comp in structure._compositions(n, k):
-                bounds = list(itertools.accumulate(comp, initial=0))
-                segments = [vals[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-                out.update(map(Permutation, _all_interleavings(segments)))
-            continue
-        for labels in itertools.product(range(k), repeat=n):
-            parts: list[list[int]] = [[] for _ in range(k)]
-            for v, lab in zip(vals, labels):
-                parts[lab].append(v)
-            if variant == "V":
-                out.add(Permutation([v for part in parts for v in part]))
-            else:
-                out.update(map(Permutation, _all_interleavings([tuple(part) for part in parts])))
-    return out
+    members = class_slice(a_expr, n, max_order)
+    by_sorted: dict[tuple[int, ...], list[Permutation]] = {}  # by(L), keyed by sorted(L)
+    for labels in itertools.product(range(k), repeat=n):
+        by_label = Permutation(sorted(range(1, n + 1), key=lambda i: labels[i - 1]))
+        by_sorted.setdefault(tuple(sorted(labels)), []).append(by_label)
+    reorderings = {
+        compose(division, inverse(reading))
+        for group in by_sorted.values()
+        for division in ([identity(n)] if variant == "H" else group)
+        for reading in ([identity(n)] if variant == "V" else group)
+    }
+    return {compose(alpha, r) for alpha in members for r in reorderings}
 
 
 def check_behaviour(

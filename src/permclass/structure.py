@@ -53,10 +53,8 @@ def layers(p: Iterable[int]) -> Optional[tuple[int, ...]]:
         if nxt:
             if v != nxt:
                 return None
-        elif v > base:
-            top = v
         else:
-            return None
+            top = v
         if v == base + 1:
             lengths.append(top - base)
             base, nxt = top, 0
@@ -140,16 +138,6 @@ def merge_split(p: Permutation, tests: Sequence[PartTest]) -> Optional[Coloring]
             parts[part].pop()
         part += 1
     return Coloring(tuple(part + 1 for part in chosen))
-
-
-def _compositions(total: int, parts: int):
-    """All weak compositions of total into the given number of parts, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _greedy_cuts(

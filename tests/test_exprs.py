@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from permclass.exprs import (
@@ -165,3 +167,16 @@ def test_expressions_hashable():
     seen = {parse_class(t) for t in ROUNDTRIP}
     assert len(seen) == len(ROUNDTRIP)
     assert parse_class("Ik(2)") in seen
+
+
+def test_nodes_are_frozen():
+    # The slice cache keys on a rendering cached on the node, so a node
+    # must not change after it is built.
+    node = IncK(2)
+    with pytest.raises(FrozenInstanceError) as exc:
+        node.k = 3
+    assert str(exc.value) == "cannot assign to field 'k'"
+    with pytest.raises(FrozenInstanceError) as exc:
+        del node.k
+    assert str(exc.value) == "cannot delete field 'k'"
+    assert node == IncK(2)

@@ -1,7 +1,7 @@
 import json
 
-from permclass import algebra, harness, structure
-from permclass.algebra import MAX_ORDER, SliceCache, class_slice, member, slice_cache
+from permclass import algebra, factor, harness, structure
+from permclass.algebra import MAX_ORDER, ClassSlice, SliceCache, class_slice, member, slice_cache
 from permclass.exprs import Comp, IncK, canonical_render, parse_class, render
 from permclass.harness import (
     REGISTRY,
@@ -97,6 +97,15 @@ def test_inclusion_of_an_empty_slice_holds_past_the_pair_limit(monkeypatch):
     assert check_inclusion(parse_class("I"), rhs, [2]).skipped_orders == [2]
     report = check_inclusion(parse_class("Ik(0)"), rhs, range(0, 6))
     assert report.holds and sorted(report.results) == [0, 1, 2, 3, 4, 5]
+
+
+def test_a_witness_that_does_not_re_verify_raises(fresh_cache):
+    # A planted empty I slice makes 123 look outside comp(I,Ik(2)); the
+    # cache-free re-verification finds it inside and refuses the verdict.
+    slice_cache().get_or_compute(("I", 3), lambda: ClassSlice(3, frozenset()))
+    with pytest.raises(RuntimeError) as exc:
+        check_inclusion(parse_class("Ik(2)"), parse_class("comp(I,Ik(2))"), [3])
+    assert str(exc.value) == "witness 123 did not re-verify; cache inconsistency"
 
 
 def test_inclusion_past_the_product_order_limit_is_skipped():
@@ -492,10 +501,19 @@ def test_behaviour_closure_matches_composition():
 
 
 def test_behaviour_closure_direct_values():
-    got = behaviour_closure(parse_class("I"), 2, "V", 3)
-    # concatenations of two increasing subsequences: everything but 321
-    expected = {from_text(t) for t in ("123", "132", "213", "231", "312")}
-    assert got == expected
+    cases = [
+        # concatenations of two increasing subsequences: everything but 321
+        ("I", 2, "V", 3, "123 132 213 231 312"),
+        # 4321 divided into two pieces and recombined
+        ("D", 2, "V", 4, "1432 2143 2431 3142 3214 3241 3421 4132 4213 4231 4312 4321"),
+        ("D", 2, "H", 4, "1432 2143 2413 2431 3214 3241 3421 4132 4213 4231 4312 4321"),
+        ("D", 2, "I", 4, "1432 2143 2413 2431 3142 3214 3241 3412 3421 4132 4213 4231 4312 4321"),
+    ]
+    # With no piece, no position can be labelled past order 0.
+    cases += [("Av(21)", 0, variant, n, texts) for variant in "VHI" for n, texts in ((0, "e"), (2, ""))]
+    for cls, k, variant, n, texts in cases:
+        got = behaviour_closure(parse_class(cls), k, variant, n)
+        assert sorted(map(to_text, got)) == texts.split(), (cls, k, variant, n)
 
 
 def test_run_suite_known_and_unknown():
@@ -504,6 +522,37 @@ def test_run_suite_known_and_unknown():
     results = run_suite(["count-L2", "basis-H-size3"], n_cap=6)
     assert [r.name for r in results] == ["count-L2", "basis-H-size3"]
     assert all(r.status == "pass" for r in results)
+
+
+def test_run_suite_lists_each_factorization_error(monkeypatch):
+    real = factor.decompose_l4
+
+    def decompose(p, k):
+        if len(p) == 3:
+            raise ValueError("boom")
+        return real(p, k)
+
+    monkeypatch.setattr(factor, "decompose_l4", decompose)
+    (result,) = run_suite(["thm-L4"], n_cap=4)
+    assert result.status == "fail"
+    assert result.counterexamples == [
+        "k=4 123: boom", "k=4 132: boom", "k=4 213: boom", "k=4 321: boom",
+    ]
+
+
+def test_run_suite_lists_each_count_mismatch(monkeypatch):
+    # One extra member at order 3 disagrees with both the Fibonacci number
+    # and the count from filtering S_3.
+    real = harness.count
+    monkeypatch.setattr(
+        harness, "count", lambda *args: [c + (n == 3) for n, c in enumerate(real(*args), start=1)]
+    )
+    (result,) = run_suite(["count-F2"], n_cap=5)
+    assert result.status == "fail"
+    assert result.counterexamples == [
+        "order 3: enumerated count 4 != 3",
+        "order 3: filter count 3 != enumerated count 4",
+    ]
 
 
 def test_run_suite_status_skip_when_an_order_hits_a_cap(monkeypatch):

@@ -25,7 +25,6 @@ from permclass.structure import (
     Coloring,
     NotLayeredError,
     SplitContractError,
-    _compositions,
     gamma_pattern,
     horizontal_split,
     is_close,
@@ -189,10 +188,10 @@ def test_vertical_horizontal_split_oracles():
 
 
 def _exhaustive_split(p, constraints, piece):
-    """Reference: the first weak composition, in lexicographic order, whose
-    pieces all lie in their classes."""
-    for comp in _compositions(len(p), len(constraints)):
-        bounds = (0, *itertools.accumulate(comp))
+    """Reference: the first cut vector, in lexicographic order, whose pieces
+    all lie in their classes."""
+    for cuts in itertools.combinations_with_replacement(range(len(p) + 1), len(constraints) - 1):
+        bounds = (0, *cuts, len(p))
         if all(
             member(c, piece(p, lo, hi)) for c, lo, hi in zip(constraints, bounds, bounds[1:])
         ):
