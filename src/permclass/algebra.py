@@ -14,6 +14,8 @@ products until fewer members are left than batches, then tests each member p:
 is some p o b^-1 in the first factor?
 
 A slice holds its members as byte strings, so none is built past order 255.
+Every slice rule maps bytes: `comp` by one `bytes.translate` table per left
+factor, `rev` by reversing, `cpl` by the table v -> n+1-v, `inv` by maketrans.
 Outside this module only harness reads them: `_inside` and `_lemma_l2_group`
 compare `.members`, and `_lemma_blocks` composes them through `_batches`.
 `in`, iteration and `len` speak `Permutation`; `rows` gives the members'
@@ -21,7 +23,6 @@ values as lists.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat, tee
@@ -31,7 +32,7 @@ from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Option
 from . import exprs, structure
 from .exprs import ClassExpr, Comp, canonical_render
 from .perms import (
-    EMPTY, Permutation, complement, compose, contains, inverse, lds, lis, reverse,
+    EMPTY, Permutation, _patience, complement, compose, contains, inverse, lds, lis, reverse,
 )
 
 
@@ -126,8 +127,9 @@ def member_independent(expr: ClassExpr, p: Permutation, max_order: int = MAX_ORD
 
     comp(A1,...,Ak), with a product in first place opened into its factors, is
     searched depth first: p is a member when some q_k, ..., q_2 from the
-    slices of A_k, ..., A_2 leave p o q_k^-1 o ... o q_2^-1 in A1.  No product
-    slice is built.  Any other class is decided by `member`.
+    slices of A_k, ..., A_2 leave p o q_k^-1 o ... o q_2^-1 in A1.  A product
+    among A_2, ..., A_k is built as a slice on the scratch cache, its pair loop
+    running in bytes; any other class is decided by `member`.
     """
     scratch = SliceCache()
     factors: list[ClassExpr] = []
@@ -258,11 +260,17 @@ def _split(
 
 
 def _batches(left: Iterable[bytes], acc: Iterable[bytes], n: int) -> Iterator[Iterable[bytes]]:
-    """The products a o b on byte strings, one batch per a in left, in set
-    order.  A batch maps every b to a o b through a 256-byte table with
+    """The products a o b on byte strings, one batch per a in left, in the
+    order of left.  A batch maps every b to a o b through a 256-byte table with
     table[v] = a(v), so the loop over pairs runs inside bytes.translate."""
     pad = bytes(MAX_SLICE_ORDER - n)
     return (map(bytes.translate, acc, repeat(b"\0" + a + pad)) for a in left)
+
+
+def _inverses(members: Iterable[bytes], n: int) -> Iterator[bytes]:
+    """Each b^-1, of order n: maketrans(b, 1..n) maps b(i) to i, so cut to 1..n it is b^-1."""
+    ident = _BYTES[1 : n + 1]
+    return map(itemgetter(slice(1, n + 1)), map(bytes.maketrans, members, repeat(ident)))
 
 
 def _compose_slice(expr: Comp, n: int, max_order: int, cache: SliceCache) -> Iterable[bytes]:
@@ -283,8 +291,8 @@ def first_non_product(
     With A the first factor's slice and B the others' partial product, each
     batch a o B is struck from a copy of the members until none is left, or
     fewer than the batches left; each one left is then decided alone, in byte
-    order: p is in A o B when p o b^-1 is in A for some b in B (b^-1 being
-    maketrans(b, 1..n) cut to 1..n).  Memory: the members, B and B^-1, never A o B.
+    order: p is in A o B when p o b^-1 is in A for some b in B (B^-1 from
+    `_inverses`).  Memory: the members, B and B^-1, never A o B.
     """
     if not lhs:
         return None
@@ -299,10 +307,8 @@ def first_non_product(
             return None
     else:
         return next(_perms([min(rest)]))
-    ident, pad = _BYTES[1 : n + 1], bytes(MAX_SLICE_ORDER - n)
-    inverses = list(map(itemgetter(slice(1, n + 1)), map(bytes.maketrans, acc, repeat(ident))))
     ordered = sorted(rest)
-    tests = (map(bytes.translate, inverses, repeat(b"\0" + p + pad)) for p in ordered)
+    tests = _batches(ordered, list(_inverses(acc, n)), n)
     return next(_perms(compress(ordered, map(left.isdisjoint, tests))), None)
 
 
@@ -337,48 +343,41 @@ class _Rule(NamedTuple):
 _FLIP = _BYTES[::-1]
 
 
-def _least_end(keys: bytes, k: int, none: int) -> int:
-    """The least key that ends an increasing subsequence of length k in keys,
-    or none if there is none (one patience pass; k >= 1)."""
-    piles: list[int] = []
-    least = none
-    for x in keys:
-        i = bisect_left(piles, x)
-        if i == len(piles):
-            piles.append(x)
-        else:
-            piles[i] = x
-        if i >= k - 1 and x < least:
-            least = x
-    return least
-
-
 def _inc_k_admits(e: exprs.IncK | exprs.Inc, q: bytes) -> range:
     """Ik(k) (West 1996): a new last entry j closes a decreasing subsequence of
     length k+1 exactly when some length-k one ends at a value >= j.  So the
     admitted j exceed c, the largest value ending a length-k decreasing
-    subsequence of q (0 if there is none).  Ik(0) has no member past order 0."""
+    subsequence of q (0 if there is none): 255 minus the k-th patience tail of
+    q flipped.  Ik(0) has no member past order 0."""
     if not e.k:
         return range(0)
-    c = 255 - _least_end(q.translate(_FLIP), e.k, 255)
+    tails = _patience(q.translate(_FLIP))
+    c = 255 - tails[e.k - 1] if len(tails) >= e.k else 0
     return range(c + 1, len(q) + 2)
 
 
 def _dec_k_admits(e: exprs.DecK | exprs.Dec, q: bytes) -> range:
-    """Dk(k), the mirror of Ik(k): the admitted j are at most d, the smallest
-    value ending a length-k increasing subsequence of q (n if there is none)."""
+    """Dk(k), the mirror of Ik(k): the admitted j are at most d, the k-th patience
+    tail of q, the smallest value ending a length-k increasing subsequence (n if none)."""
     if not e.k:
         return range(0)
-    return range(1, _least_end(q, e.k, len(q) + 1) + 1)
+    tails = _patience(q)
+    d = tails[e.k - 1] if len(tails) >= e.k else len(q) + 1
+    return range(1, d + 1)
 
 
-def _mapped(f: Callable[[Permutation], Permutation]) -> _Rule:
-    """rev/cpl/inv: the image of the child class under the involution f."""
+def _complements(members: Iterable[bytes], n: int) -> Iterator[bytes]:
+    """cpl(C) = δ o C, δ = n...21: one table, table[v] = δ(v) = n+1-v, per order."""
+    delta = b"\0" + _BYTES[n:0:-1] + bytes(MAX_SLICE_ORDER - n)
+    return map(bytes.translate, members, repeat(delta))
+
+
+def _mapped(f: Callable[[Permutation], Permutation], image: Callable[..., Iterator]) -> _Rule:
+    """rev/cpl/inv: the child's image under the involution f; image(members, n)
+    maps its slice's bytes, and `member` keeps Permutations (Av takes any order)."""
     return _Rule(
         lambda e, p, *args: member(e.child, f(p), *args),
-        lambda e, n, *args: {
-            bytes(f(p).values) for p in _perms(class_slice(e.child, n, *args).members)
-        },
+        lambda e, n, *args: image(class_slice(e.child, n, *args).members, n),
     )
 
 
@@ -454,7 +453,7 @@ _RULES: dict[type, _Rule] = {
     exprs.Comp: _Rule(lambda e, p, *args: p in class_slice(e, len(p), *args), _compose_slice),
     exprs.And: _boolean(all, frozenset.intersection),
     exprs.Or: _boolean(any, frozenset.union),
-    exprs.Rev: _mapped(reverse),
-    exprs.Cpl: _mapped(complement),
-    exprs.Inv: _mapped(inverse),
+    exprs.Rev: _mapped(reverse, lambda members, n: map(itemgetter(slice(None, None, -1)), members)),
+    exprs.Cpl: _mapped(complement, _complements),
+    exprs.Inv: _mapped(inverse, _inverses),
 }

@@ -237,26 +237,27 @@ def greedy_increasing_chains(p: Permutation) -> list[list[int]]:
     return chains
 
 
-def _patience(values: Iterable[int]) -> int:
-    """Length of a longest increasing subsequence of a value sequence."""
-    piles: list[int] = []
+def _patience(values: Iterable[int]) -> list[int]:
+    """The tails of one patience pass over distinct values: tails[i] is the least
+    value ending an increasing subsequence of length i+1, so lis is len(tails)."""
+    tails: list[int] = []
     for v in values:
-        k = bisect.bisect_left(piles, v)
-        if k == len(piles):
-            piles.append(v)
+        k = bisect.bisect_left(tails, v)
+        if k == len(tails):
+            tails.append(v)
         else:
-            piles[k] = v
-    return len(piles)
+            tails[k] = v
+    return tails
 
 
 def lis(p: Permutation) -> int:
     """Length of a longest increasing subsequence (patience sorting)."""
-    return _patience(p.values)
+    return len(_patience(p.values))
 
 
 def lds(p: Permutation) -> int:
     """Length of a longest decreasing subsequence (patience sorting, right to left)."""
-    return _patience(reversed(p.values))
+    return len(_patience(reversed(p.values)))
 
 
 def all_perms(n: int) -> Iterator[Permutation]:

@@ -33,8 +33,10 @@ from permclass.exprs import (
     parse_class,
     render,
 )
+from permclass.harness import _SYMMETRY_CORPUS
 from permclass.perms import (
-    Permutation, all_perms, decreasing, from_text, identity, lds, lis, pattern_of,
+    Permutation, all_perms, complement, decreasing, from_text, identity, inverse, lds, lis,
+    pattern_of, reverse,
 )
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429]
@@ -173,6 +175,24 @@ def test_and_or_rev_cpl_inv_slices():
     assert either is not both
 
 
+SYMMETRIES = {"rev": reverse, "cpl": complement, "inv": inverse}
+
+
+def test_mapped_slices_match_mapping_each_member_as_a_permutation():
+    # rev/cpl/inv map the child's byte strings; the reference wraps each member
+    # as a Permutation, maps it and packs it back.  Order 255 is the last whose
+    # complement table fits a byte: v must go to 256 - v there, not 255 - v.
+    texts = [*_SYMMETRY_CORPUS, "merge(I,D)", "comp(Ik(2),D)", "All", "Ik(0)"]
+    cases = [(name, text, n) for name in SYMMETRIES for text in texts for n in range(8)]
+    cases += [("cpl", "D", 255), ("rev", "I", 255), ("inv", "D", 255)]
+    cache = SliceCache()
+    for name, text, n in cases:
+        child = class_slice(parse_class(text), n, 255, cache)
+        want = {bytes(SYMMETRIES[name](p).values) for p in child}
+        got = class_slice(parse_class(f"{name}({text})"), n, 255, cache)
+        assert got.members == want, (name, text, n)
+
+
 def test_empty_order_slices():
     for text in ("I", "Ik(2)", "Av(321)", "comp(I,D)", "merge(I,D)", "L"):
         assert len(class_slice(parse_class(text), 0)) == 1
@@ -280,6 +300,31 @@ def test_member_independent_agrees_on_compositions():
             for p in all_perms(n):
                 want = member(expr, p, cache=SliceCache())
                 assert member_independent(expr, p) == want, (text, str(p))
+
+
+def test_member_independent_builds_a_later_product_on_its_scratch_cache(monkeypatch):
+    # A product in first place is opened into its factors; one in a later
+    # place is built as a slice, on the call's own cache, never the global one.
+    expr = parse_class("comp(Ik(2),comp(Ik(2),I))")
+    builds = []
+    real = algebra.class_slice
+
+    def spy(e, n, max_order=algebra.MAX_ORDER, cache=None):
+        builds.append((canonical_render(e), cache is not None and cache is not slice_cache()))
+        return real(e, n, max_order, cache)
+
+    monkeypatch.setattr(algebra, "class_slice", spy)
+    slice_cache().clear()
+    try:
+        for n in range(0, 6):
+            for p in all_perms(n):
+                got = member_independent(expr, p)
+                assert not any((key, m) in slice_cache() for key in (
+                    "comp(Ik(2),comp(Ik(2),I))", "comp(Ik(2),I)") for m in range(n + 1))
+                assert got == member(expr, p, cache=SliceCache()), str(p)
+    finally:
+        slice_cache().clear()
+    assert {scratch for key, scratch in builds if key == "comp(Ik(2),I)"} == {True}
 
 
 def under_a_low_recursion_limit(call):

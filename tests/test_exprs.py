@@ -179,4 +179,15 @@ def test_nodes_are_frozen():
     with pytest.raises(FrozenInstanceError) as exc:
         del node.k
     assert str(exc.value) == "cannot delete field 'k'"
+    # The cached rendering, the slice-cache key, is not a field: the node's
+    # own hooks guard it, and any other name, before and after it is cached.
+    for _ in range(2):
+        for name in ("_canonical", "anything"):
+            with pytest.raises(FrozenInstanceError) as exc:
+                setattr(node, name, "Ik(3)")
+            assert str(exc.value) == f"cannot assign to field {name!r}"
+            with pytest.raises(FrozenInstanceError) as exc:
+                delattr(node, name)
+            assert str(exc.value) == f"cannot delete field {name!r}"
+        assert canonical_render(node) == "Ik(2)"
     assert node == IncK(2)

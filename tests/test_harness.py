@@ -514,6 +514,9 @@ def test_behaviour_closure_direct_values():
     for cls, k, variant, n, texts in cases:
         got = behaviour_closure(parse_class(cls), k, variant, n)
         assert sorted(map(to_text, got)) == texts.split(), (cls, k, variant, n)
+    with pytest.raises(ValueError) as exc:
+        behaviour_closure(parse_class("I"), 2, "X", 3)
+    assert str(exc.value) == "unknown variant 'X'"
 
 
 def test_run_suite_known_and_unknown():

@@ -25,6 +25,7 @@ from permclass.perms import (
     reverse,
     to_text,
     _neighbours,
+    _patience,
 )
 
 
@@ -77,6 +78,7 @@ def test_compose_oracle():
     )
     with pytest.raises(ValueError):
         compose(from_text("21"), from_text("321"))
+    assert compose_all([]) == EMPTY
 
 
 def test_symmetry_oracles():
@@ -233,6 +235,20 @@ def test_lis_lds_oracles():
     assert lis(from_text("14352")) == 3
     assert lds(from_text("3127645")) == 3
     assert lis(EMPTY) == 0 and lds(EMPTY) == 0
+
+
+def test_patience_tails_are_the_least_ends_of_each_length():
+    # tails[i] is the least value ending an increasing subsequence of length
+    # i+1: the least v_j whose longest increasing subsequence ending at j
+    # (quadratic reference) is at least i+1 long.
+    for n in range(0, 7):
+        for p in all_perms(n):
+            v = p.values
+            ending = []
+            for j in range(n):
+                ending.append(1 + max([ending[i] for i in range(j) if v[i] < v[j]], default=0))
+            want = [min(v[j] for j in range(n) if ending[j] > i) for i in range(max(ending, default=0))]
+            assert _patience(v) == want, str(p)
 
 
 def test_greedy_chains_cover_and_count():
